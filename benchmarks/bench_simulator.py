@@ -1,15 +1,16 @@
 """Throughput of the runtime simulator and the exhaustive verifier on
 the paper's Fig. 5 example (15 fault scenarios, k = 2), plus the
-DES-vs-replay throughput floor.
+throughput floor of the DES forward path.
 
-The event-driven core routes table-expressible scenarios through its
-deterministic queue into the *same* replay handlers, so it pays the
-queue overhead (push, eps-clustered pops) on top of replay's work.
-The floor pins that overhead: on a Fig. 7-scale fault-free run the
-DES must stay **within 3x** of straight table replay
-(``des_ratio = replay_time / des_time >= 1/3``), while producing the
-bit-identical result — the tax for one engine serving both the oracle
-scenarios and the DES-only axes.
+The event-driven core executes the DES-only axes (intermittent
+windows, corrupted slots, release jitter) forward through its
+compiled activation stream; table replay cannot express them. The
+floor compares the two on the same Fig. 7-scale design: replay
+(``simulate()``) over a sample of base fault plans against
+``DesSimulator`` over the same plans extended with one window, one
+corrupted slot and release jitter each
+(``forward_ratio = replay_time / des_time``, floor in
+``benchmarks/floors.json``).
 
 Run:  pytest benchmarks/bench_simulator.py --benchmark-only
 
@@ -28,6 +29,7 @@ from repro.ftcpg import FaultPlan
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime import simulate, verify_tolerance
+from repro.runtime.faults import extend_fault_plans, sample_fault_plans
 from repro.schedule import synthesize_schedule
 from repro.synthesis.tabu import TabuSettings
 from repro.verify.runner import load_verify_workload
@@ -37,10 +39,13 @@ QUICK = os.environ.get("REPRO_BENCH_PROFILE", "quick") != "full"
 
 #: Fig. 7 territory: the paper sweeps 20..80 processes.
 FIG7_PROCESSES = 20 if QUICK else 30
-FIG7_REPS = 50 if QUICK else 100
+#: Fault plans per timed pass, and interleaved passes (best of).
+FORWARD_PLANS = 40 if QUICK else 80
+FORWARD_TRIALS = 3
 
-#: Acceptance floor: DES within 3x of table replay (both profiles).
-MIN_DES_RATIO = 1.0 / 3.0
+#: Acceptance floor (both profiles): about half the measured ratio
+#: (1.3-1.7 quick on a 2-vCPU VM).
+MIN_FORWARD_RATIO = 0.8
 
 
 def _setup():
@@ -89,37 +94,47 @@ def _fig7_design():
         schedule
 
 
-def test_des_within_3x_of_replay(benchmark):
+def test_des_forward_path_vs_replay(benchmark):
     app, arch, mapping, policies, fm, schedule = _fig7_design()
-    plan = FaultPlan({})
+    base = sample_fault_plans(app, policies, fm.k, FORWARD_PLANS,
+                              seed=1, include_fault_free=False)
+    extended = extend_fault_plans(
+        base, node_names=arch.node_names,
+        process_names=app.process_names,
+        horizon=schedule.worst_case_length,
+        round_length=arch.bus.round_length,
+        slots_per_round=len(arch.bus.slot_order),
+        intermittent=1, slot_faults=1, jitter=0.5, seed=1)
+    assert not any(plan.is_table_expressible for plan in extended)
 
-    started = time.perf_counter()
-    for __ in range(FIG7_REPS):
-        replayed = simulate(app, arch, mapping, policies, fm,
-                            schedule, plan)
-    replay_time = time.perf_counter() - started
+    def replay_pass():
+        started = time.perf_counter()
+        for plan in base:
+            simulate(app, arch, mapping, policies, fm, schedule, plan)
+        return time.perf_counter() - started
 
-    des = DesSimulator(app, arch, mapping, policies, fm, schedule,
-                       use_des=True)
+    def forward_pass():
+        started = time.perf_counter()
+        des = DesSimulator(app, arch, mapping, policies, fm, schedule)
+        for plan in extended:
+            des.simulate(plan)
+        return time.perf_counter() - started
 
-    def _run_des():
-        for __ in range(FIG7_REPS):
-            result = des.simulate(plan)
-        return result
-
-    queued = benchmark.pedantic(_run_des, rounds=1, iterations=1)
-    des_time = benchmark.stats.stats.total
-
-    # One engine, two paths, identical bits.
-    assert queued == replayed
+    # Interleaved best-of-N: each trial times both sides back to back,
+    # so a load spike on a shared runner hits both.
+    replay_time = des_time = float("inf")
+    for __ in range(FORWARD_TRIALS):
+        replay_time = min(replay_time, replay_pass())
+        des_time = min(des_time, forward_pass())
+    benchmark.pedantic(forward_pass, rounds=1, iterations=1)
 
     ratio = replay_time / des_time if des_time else 0.0
     benchmark.extra_info["processes"] = FIG7_PROCESSES
-    benchmark.extra_info["reps"] = FIG7_REPS
+    benchmark.extra_info["plans"] = len(extended)
     benchmark.extra_info["replay_seconds"] = round(replay_time, 3)
     benchmark.extra_info["des_seconds"] = round(des_time, 3)
-    benchmark.extra_info["des_ratio"] = round(ratio, 2)
-    assert ratio >= MIN_DES_RATIO, (
-        f"DES fell beyond 3x of replay: ratio {ratio:.2f} "
-        f"(replay {replay_time:.3f}s, DES {des_time:.3f}s over "
-        f"{FIG7_REPS} fault-free runs)")
+    benchmark.extra_info["forward_ratio"] = round(ratio, 2)
+    assert ratio >= MIN_FORWARD_RATIO, (
+        f"DES forward path fell below {MIN_FORWARD_RATIO} of replay "
+        f"throughput: ratio {ratio:.2f} (replay {replay_time:.3f}s, "
+        f"DES {des_time:.3f}s over {len(extended)} plans)")

@@ -342,7 +342,7 @@ def run_campaign_chunk(params: Mapping[str, object],
     for plan in slice_plans:
         if des is not None:
             # The DES executes every plan: table-expressible ones
-            # bit-identically to replay, extended ones forward.
+            # through the replay oracle, extended ones forward.
             outcome = des.simulate(plan)
         elif batched is not None:
             outcome = batched.simulate_plan(plan)

@@ -1,26 +1,25 @@
 """Event-driven simulator core (DES) — see docs/des.md.
 
 A Nessi-style discrete-event engine over the conditional schedule
-tables. On every scenario the table-replay simulator
-(:mod:`repro.runtime.simulator`) can express, :class:`DesSimulator`
-is **bit-identical** to it — the queue-ordered replay drives the same
-shared handlers, and the differential-oracle suite enforces full
-result equality. On top of that shared core, the DES executes the
-scenario axes table replay cannot: intermittent fault windows,
-corrupted TDMA slot occurrences (with dynamic retransmission), and
-per-process release jitter
-(:class:`~repro.ftcpg.scenarios.DesFaultPlan`).
+tables. Scenarios the table-replay simulator
+(:mod:`repro.runtime.simulator`) can express run through that oracle
+itself; :class:`DesSimulator` adds the scenario axes table replay
+cannot express: intermittent fault windows, corrupted TDMA slot
+occurrences (with dynamic retransmission), and per-process release
+jitter (:class:`~repro.ftcpg.scenarios.DesFaultPlan`).
 
 * :mod:`repro.des.queue` — the deterministic event queue
-  (``(time, priority, seq)`` heap with anchored eps-clustering);
+  (``(time, priority, seq)`` heap with anchored eps-clustering, merged
+  with a presorted activation stream);
 * :mod:`repro.des.events` — the logged event vocabulary and the
   golden-trace rendering;
-* :mod:`repro.des.core` — :class:`DesSimulator`, the table-expressible
-  path and the ``REPRO_DES`` escape hatch;
-* :mod:`repro.des.online` — forward execution of DES-only scenarios.
+* :mod:`repro.des.core` — :class:`DesSimulator`, which routes each
+  plan to the replay oracle or the forward engine;
+* :mod:`repro.des.online` — forward execution of DES-only scenarios,
+  compiled once per design.
 """
 
-from repro.des.core import DesRun, DesSimulator, des_default, simulate_des
+from repro.des.core import DesRun, DesSimulator, simulate_des
 from repro.des.events import DesEvent, DesEventKind, render_trace
 from repro.des.online import OnlineEngine
 from repro.des.queue import EventQueue
@@ -32,7 +31,6 @@ __all__ = [
     "DesSimulator",
     "EventQueue",
     "OnlineEngine",
-    "des_default",
     "render_trace",
     "simulate_des",
 ]

@@ -31,13 +31,22 @@ slide table entries, so delays surface as errors rather than cascaded
 slippage. Within one eps-cluster of the event queue, effects order as
 fault toggles < deliveries < finishes < activations, mirroring the
 replay rule that bus effects land before attempts start.
+
+The candidate activations do not depend on the plan, so the engine
+compiles them once per design: the presorted activation stream the
+event queue merges into its clusters, each entry's observing node and
+guard (as indices into a flat knowledge array), the slots the tables
+reserve, and the TDMA bus. A plan only pushes its own fault-window,
+jitter, finish and delivery events.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.comm.tdma import TdmaBus
 from repro.des.events import DesEvent, DesEventKind
-from repro.des.queue import EventQueue
+from repro.des.queue import EventQueue, QueuedEvent
 from repro.ftcpg.conditions import AttemptId
 from repro.ftcpg.scenarios import DesFaultPlan
 from repro.model.application import Application
@@ -47,7 +56,7 @@ from repro.policies.types import PolicyAssignment
 from repro.runtime.simulator import SimulationResult
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
-from repro.utils.mathutils import fgt, flt
+from repro.utils.mathutils import TIME_EPS, fgt, flt
 
 CopyKey = tuple[str, int]
 
@@ -61,10 +70,34 @@ _ENTRY_RANK = {EntryKind.BROADCAST: 0, EntryKind.MESSAGE: 1,
                EntryKind.ATTEMPT: 2}
 
 
-class OnlineEngine:
-    """Forward (event-driven) execution of one DES-only scenario.
+@dataclass(frozen=True, slots=True)
+class _Activation:
+    """One table entry compiled for activation (plan-independent)."""
 
-    One instance runs one plan; :meth:`run` returns the
+    entry: TableEntry
+    #: Where the guard is observed: the attempt's node, or the node
+    #: sending a message or broadcast.
+    node: str
+    #: ``(knowledge slot, faulty)`` per guard literal, in guard order.
+    guard: tuple[tuple[int, bool], ...]
+    #: ``entry.start + TIME_EPS``: knowledge arriving later is unknown
+    #: at the nominal start.
+    latest: float
+    #: Knowledge slot of the entry's own attempt on ``node`` (written
+    #: at an attempt's finish, read by its broadcast); -1 for messages.
+    own: int = -1
+    #: A broadcast's knowledge slots of its attempt on every node.
+    spread: tuple[int, ...] = ()
+    #: A message's producing copy.
+    producer: CopyKey | None = None
+
+
+class OnlineEngine:
+    """Forward (event-driven) execution of DES-only scenarios.
+
+    Construction compiles one design; :meth:`run` executes one plan
+    against it and may be called any number of times, each run
+    starting from fresh per-plan state. It returns the
     :class:`~repro.runtime.simulator.SimulationResult` plus the full
     ordered event log.
     """
@@ -79,6 +112,52 @@ class OnlineEngine:
         self.fault_model = fault_model
         self.schedule = schedule
         self.bus = TdmaBus(arch.bus)
+        #: Slot occurrences the nominal tables reserve — retransmitted
+        #: frames must dodge them all (conservative: also entries that
+        #: end up not activating; the runtime cannot know in advance).
+        self.reserved: frozenset[tuple[int, int]] = frozenset(
+            (frame.round_index, frame.slot_index)
+            for entry in schedule.entries
+            for frame in entry.frames)
+
+        slots: dict[tuple[AttemptId, str], int] = {}
+
+        def slot(attempt: AttemptId, node: str) -> int:
+            return slots.setdefault((attempt, node), len(slots))
+
+        def guard_on(entry: TableEntry,
+                     node: str) -> tuple[tuple[int, bool], ...]:
+            return tuple((slot(literal.attempt, node), literal.faulty)
+                         for literal in entry.guard.literals)
+
+        stream: list[QueuedEvent] = []
+        for entry in sorted(schedule.entries,
+                            key=lambda e: (e.start, _ENTRY_RANK[e.kind])):
+            latest = entry.start + TIME_EPS
+            if entry.kind is EntryKind.MESSAGE:
+                src = app.message(entry.message).src
+                node = mapping.node_of(src, entry.producer_copy)
+                activation = _Activation(
+                    entry, node, guard_on(entry, node), latest,
+                    producer=(src, entry.producer_copy))
+            elif entry.kind is EntryKind.BROADCAST:
+                attempt = entry.attempt
+                node = mapping.node_of(attempt.process, attempt.copy)
+                activation = _Activation(
+                    entry, node, guard_on(entry, node), latest,
+                    own=slot(attempt, node),
+                    spread=tuple(slot(attempt, name)
+                                 for name in arch.node_names))
+            else:
+                node = entry.location
+                activation = _Activation(
+                    entry, node, guard_on(entry, node), latest,
+                    own=slot(entry.attempt, node))
+            stream.append((entry.start, P_ACTIVATE, len(stream),
+                           activation))
+        #: The activation stream, in ``(start, kind-rank)`` order.
+        self._stream: tuple[QueuedEvent, ...] = tuple(stream)
+        self._slot_count = len(slots)
 
     def run(self, plan: DesFaultPlan,
             ) -> tuple[SimulationResult, list[DesEvent]]:
@@ -91,8 +170,10 @@ class OnlineEngine:
             self.errors.append(
                 f"plan injects {self.base.total_faults} faults, budget "
                 f"is {self.fault_model.k}")
-        #: (attempt, node) -> (known-at time, observed-faulty value)
-        self.known: dict[tuple[AttemptId, str], tuple[float, bool]] = {}
+        #: Knowledge slot -> (known-at time, observed-faulty value);
+        #: a slot is one (attempt, node) pair.
+        self.known: list[tuple[float, bool] | None] = \
+            [None] * self._slot_count
         self.node_busy: dict[str, float] = {
             n: 0.0 for n in self.arch.node_names}
         self.delivered: dict[str, dict[str, float]] = {}
@@ -102,18 +183,13 @@ class OnlineEngine:
         self.copy_faults: dict[CopyKey, int] = {}
         self.copy_dead: set[CopyKey] = set()
         self.fired: list[TableEntry] = []
-        #: Slot occurrences the nominal tables reserve — retransmitted
-        #: frames must dodge them all (conservative: also entries that
-        #: end up not activating; the runtime cannot know in advance).
-        self.reserved: set[tuple[int, int]] = {
-            (frame.round_index, frame.slot_index)
-            for entry in self.schedule.entries
-            for frame in entry.frames}
+        #: Slot occurrences this plan's retransmissions took.
+        self.retransmitted: set[tuple[int, int]] = set()
         self.corrupted: set[tuple[int, int]] = {
             (fault.round_index, fault.slot_index)
             for fault in plan.slot_faults}
 
-        queue = EventQueue()
+        queue = EventQueue(self._stream)
         self.queue = queue
         for window in plan.windows:
             queue.push(window.t_on, P_FAULT, ("fault-on", window))
@@ -123,22 +199,20 @@ class OnlineEngine:
             if delay > 0:
                 release = self.app.process(name).release + delay
                 queue.push(release, P_FAULT, ("jitter", name, delay))
-        for entry in sorted(self.schedule.entries,
-                            key=lambda e: (e.start, _ENTRY_RANK[e.kind])):
-            queue.push(entry.start, P_ACTIVATE, ("activate", entry))
 
         while queue:
-            for _time, _prio, _seq, payload in queue.pop_cluster():
-                self._dispatch(payload)
+            for _time, priority, _seq, payload in queue.pop_cluster():
+                if priority == P_ACTIVATE:
+                    self._activate(payload)
+                else:
+                    self._dispatch(payload)
         return self._finish(), self.events
 
     # -- event dispatch -----------------------------------------------------
 
     def _dispatch(self, payload: tuple) -> None:
         handler = payload[0]
-        if handler == "activate":
-            self._activate(payload[1])
-        elif handler == "finish":
+        if handler == "finish":
             self._finish_attempt(payload[1])
         elif handler == "deliver-msg":
             self._deliver_message(payload[1], payload[2])
@@ -161,50 +235,44 @@ class OnlineEngine:
     def _log(self, time: float, kind: DesEventKind, label: str) -> None:
         self.events.append(DesEvent(time=time, kind=kind, label=label))
 
-    def _guard_observed(self, entry: TableEntry, node: str) -> bool:
-        """Whether the entry's guard is satisfied by the condition
-        values known on ``node`` at the entry's nominal start.
+    def _learn(self, slot: int, at: float, faulty: bool) -> None:
+        existing = self.known[slot]
+        if existing is None or at < existing[0]:
+            self.known[slot] = (at, faulty)
+
+    # -- activation ---------------------------------------------------------
+
+    def _activate(self, activation: _Activation) -> None:
+        """Activate one entry iff its guard is satisfied by the
+        condition values known on its observing node at the entry's
+        nominal start.
 
         Unknown or later-arriving literals mean the runtime on that
         location cannot activate the entry — it simply does not fire
         (the quiet majority: tables carry entries for *all*
         scenarios)."""
-        for literal in entry.guard.literals:
-            observed = self.known.get((literal.attempt, node))
-            if observed is None:
-                return False
-            known_at, faulty = observed
-            if fgt(known_at, entry.start):
-                return False
-            if faulty != literal.faulty:
-                return False
-        return True
-
-    def _learn(self, attempt: AttemptId, node: str, at: float,
-               faulty: bool) -> None:
-        key = (attempt, node)
-        existing = self.known.get(key)
-        if existing is None or at < existing[0]:
-            self.known[key] = (at, faulty)
-
-    # -- activation ---------------------------------------------------------
-
-    def _activate(self, entry: TableEntry) -> None:
-        if entry.kind is EntryKind.ATTEMPT:
-            self._activate_attempt(entry)
-        elif entry.kind is EntryKind.MESSAGE:
-            self._activate_message(entry)
+        known = self.known
+        latest = activation.latest
+        for slot, faulty in activation.guard:
+            observed = known[slot]
+            if observed is None or observed[0] > latest \
+                    or observed[1] != faulty:
+                return
+        kind = activation.entry.kind
+        if kind is EntryKind.ATTEMPT:
+            self._activate_attempt(activation)
+        elif kind is EntryKind.MESSAGE:
+            self._activate_message(activation)
         else:
-            self._activate_broadcast(entry)
+            self._activate_broadcast(activation)
 
-    def _activate_attempt(self, entry: TableEntry) -> None:
+    def _activate_attempt(self, activation: _Activation) -> None:
+        entry = activation.entry
         attempt = entry.attempt
         key = (attempt.process, attempt.copy)
         node = entry.location
         if key in self.copy_dead:
             return  # fail-silent: the slot idles
-        if not self._guard_observed(entry, node):
-            return
         self.fired.append(entry)
         self._log(entry.start, DesEventKind.ATTEMPT_START,
                   f"{attempt.label()} on {node}")
@@ -248,9 +316,10 @@ class OnlineEngine:
                     f"{attempt.attempt - 1} was detected faulty ({prev})")
 
         self.attempt_finish[attempt] = entry.end
-        self.queue.push(entry.end, P_FINISH, ("finish", entry))
+        self.queue.push(entry.end, P_FINISH, ("finish", activation))
 
-    def _finish_attempt(self, entry: TableEntry) -> None:
+    def _finish_attempt(self, activation: _Activation) -> None:
+        entry = activation.entry
         attempt = entry.attempt
         key = (attempt.process, attempt.copy)
         node = entry.location
@@ -263,7 +332,7 @@ class OnlineEngine:
             for window in self.plan.windows)
         failed = base_fail or window_hit
         if entry.can_fail:
-            self._learn(attempt, node, entry.end, failed)
+            self._learn(activation.own, entry.end, failed)
 
         outcome = "ok"
         if failed:
@@ -302,33 +371,27 @@ class OnlineEngine:
 
     # -- bus ----------------------------------------------------------------
 
-    def _activate_message(self, entry: TableEntry) -> None:
-        message = self.app.message(entry.message)
-        sender_node = self.mapping.node_of(message.src,
-                                           entry.producer_copy)
-        if not self._guard_observed(entry, sender_node):
-            return
-        if (message.src, entry.producer_copy) not in self.completion:
+    def _activate_message(self, activation: _Activation) -> None:
+        if activation.producer not in self.completion:
             return  # fail-silent producer: the reserved slots idle
+        entry = activation.entry
         self.fired.append(entry)
-        arrival = self._transmit(entry, sender_node,
+        arrival = self._transmit(entry, activation.node,
                                  f"{entry.message}")
         self.queue.push(arrival, P_DELIVER,
                         ("deliver-msg", entry, arrival))
 
-    def _activate_broadcast(self, entry: TableEntry) -> None:
-        attempt = entry.attempt
-        sender_node = self.mapping.node_of(attempt.process, attempt.copy)
-        if not self._guard_observed(entry, sender_node):
-            return
-        observed = self.known.get((attempt, sender_node))
-        if observed is None or fgt(observed[0], entry.start):
+    def _activate_broadcast(self, activation: _Activation) -> None:
+        observed = self.known[activation.own]
+        if observed is None or observed[0] > activation.latest:
             return  # nothing detected yet: nothing to broadcast
+        entry = activation.entry
         self.fired.append(entry)
-        arrival = self._transmit(entry, sender_node,
-                                 f"F[{attempt.label()}]")
+        arrival = self._transmit(entry, activation.node,
+                                 f"F[{entry.attempt.label()}]")
         self.queue.push(arrival, P_DELIVER,
-                        ("deliver-bcast", entry, arrival, observed[1]))
+                        ("deliver-bcast", activation, arrival,
+                         observed[1]))
 
     def _transmit(self, entry: TableEntry, sender_node: str,
                   what: str) -> float:
@@ -356,9 +419,9 @@ class OnlineEngine:
         for window in self.bus.owner_slot_occurrences(
                 sender_node, entry.frames[-1].end):
             key = (window.round_index, window.slot_index)
-            if key in self.reserved:
+            if key in self.reserved or key in self.retransmitted:
                 continue
-            self.reserved.add(key)
+            self.retransmitted.add(key)
             coords = f"r{window.round_index}s{window.slot_index}"
             if key in self.corrupted:
                 self._log(window.start, DesEventKind.FRAME_LOST,
@@ -380,14 +443,13 @@ class OnlineEngine:
             if node not in slot or arrival < slot[node]:
                 slot[node] = arrival
 
-    def _deliver_broadcast(self, entry: TableEntry, arrival: float,
+    def _deliver_broadcast(self, activation: _Activation, arrival: float,
                            faulty: bool) -> None:
-        attempt = entry.attempt
         value = "fault" if faulty else "ok"
         self._log(arrival, DesEventKind.BROADCAST_DELIVERED,
-                  f"F[{attempt.label()}]={value}")
-        for node in self.arch.node_names:
-            self._learn(attempt, node, arrival, faulty)
+                  f"F[{activation.entry.attempt.label()}]={value}")
+        for slot in activation.spread:
+            self._learn(slot, arrival, faulty)
 
     # -- completion ---------------------------------------------------------
 

@@ -139,8 +139,8 @@ class DesFaultPlan:
     replay can express; ``windows`` (intermittent faults),
     ``slot_faults`` (corrupted TDMA slots) and ``jitter`` (per-process
     release delays, in schedule time units) are executable only by the
-    event-driven simulator. A plan with no extensions round-trips
-    through the DES bit-identically to table replay.
+    event-driven simulator. The DES runs a plan with no extensions
+    through table replay, reporting against its base plan.
     """
 
     base: FaultPlan

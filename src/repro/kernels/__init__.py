@@ -20,7 +20,7 @@ problem (or one design's schedule) into flat integer-indexed tables
   delta ground truth and delta guard evaluation.
 
 Bit-identity is the acceptance gate, exactly as for
-``REPRO_EVAL_INCREMENTAL`` (PR 4) and ``REPRO_DES`` (PR 8): the
+``REPRO_EVAL_INCREMENTAL`` (incremental re-evaluation): the
 kernels perform the *identical* IEEE arithmetic in the *identical*
 order as the pure-Python oracle, so every estimate, simulation result,
 report and cache key matches byte for byte. ``REPRO_KERNELS=0``

@@ -172,10 +172,7 @@ def _finish_simulation(
     sweep of :mod:`repro.verify.core` derives that list incrementally
     along shared fault-plan prefixes and re-enters here, so everything
     from the replay ordering on is one shared implementation and the
-    two paths are bit-identical by construction. The event-driven
-    simulator (:mod:`repro.des.core`) drives the same
-    :class:`_ReplayState` with its queue-ordered entry stream, which
-    is what makes *its* table path bit-identical too.
+    two paths are bit-identical by construction.
     """
     fired = _replay_order(fired)
     state = _ReplayState(app, arch, mapping, policies, fault_model,
@@ -192,10 +189,7 @@ class _ReplayState:
     One instance replays one fault scenario: :meth:`prime` derives the
     per-node condition-knowledge times from the fired entries,
     :meth:`step` processes one entry (in replay order), and
-    :meth:`finish` applies the completion/deadline checks. Both the
-    sorted replay above and the event-queue-ordered DES table path
-    drive this same object, so their results are one implementation,
-    not two kept in sync.
+    :meth:`finish` applies the completion/deadline checks.
     """
 
     def __init__(self, app: Application, arch: Architecture,

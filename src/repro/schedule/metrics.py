@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ftcpg.conditions import AttemptId
 from repro.model.application import Application
 from repro.model.transparency import Transparency
 from repro.policies.types import PolicyAssignment
 from repro.schedule.table import BUS, EntryKind, ScheduleSet
+from repro.utils.mathutils import eps_representatives
 
 #: Rough per-entry footprint of a table cell in a realistic encoding:
 #: activation id (2B) + start time (4B) + guard reference (2B).
@@ -92,15 +94,20 @@ def schedule_metrics(schedule: ScheduleSet) -> ScheduleMetrics:
             columns=len(columns),
             entries=len(entries),
         ))
-    attempt_starts = {
-        (e.attempt, round(e.start, 6))
-        for e in schedule.entries if e.kind is EntryKind.ATTEMPT
-    }
+    # Starts of one attempt within TIME_EPS are one start: cluster them
+    # instead of rounding, which splits near-equal values that fall on
+    # either side of a decimal boundary.
+    attempt_starts: dict[AttemptId, list[float]] = {}
+    for e in schedule.entries:
+        if e.kind is EntryKind.ATTEMPT:
+            attempt_starts.setdefault(e.attempt, []).append(e.start)
     return ScheduleMetrics(
         per_node=tuple(per_node),
         scenario_count=schedule.scenario_count,
         distinct_guards=len({e.guard for e in schedule.entries}),
-        distinct_attempt_starts=len(attempt_starts),
+        distinct_attempt_starts=sum(
+            len(eps_representatives(starts))
+            for starts in attempt_starts.values()),
         worst_case_length=schedule.worst_case_length,
         fault_free_length=schedule.fault_free_length,
     )

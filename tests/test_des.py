@@ -3,18 +3,18 @@ DES-only fault axes.
 
 Table-expressible scenarios must be **bit-identical** between
 :class:`~repro.des.core.DesSimulator` and the table-replay oracle —
-full :class:`~repro.runtime.simulator.SimulationResult` equality, in
-every configuration of the ``REPRO_DES`` escape hatch. The DES-only
-axes (intermittent windows, corrupted slots, release jitter) have no
-oracle; their unit semantics are pinned here against the paper's
-Fig. 5 design, and their full traces in ``tests/test_golden_traces.py``.
+full :class:`~repro.runtime.simulator.SimulationResult` equality. The
+DES-only axes (intermittent windows, corrupted slots, release jitter)
+have no oracle; their unit semantics are pinned here against the
+paper's Fig. 5 design, and their full traces in
+``tests/test_golden_traces.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.des import DesSimulator, des_default, simulate_des
+from repro.des import DesSimulator
 from repro.des.events import DesEventKind
 from repro.ftcpg.scenarios import (
     DesFaultPlan,
@@ -65,29 +65,6 @@ class TestOracleSeam:
         # the oracle's result.
         assert result == des.simulate(base)
         assert result.plan == base
-
-    def test_use_des_override_and_env_hatch(self, fig5_design,
-                                            monkeypatch):
-        app, arch, mapping, policies, fm, schedule = fig5_design
-        plan = next(p for p in iter_fault_plans(app, policies, fm.k)
-                    if p.total_faults == fm.k)
-        queued = DesSimulator(app, arch, mapping, policies, fm,
-                              schedule, use_des=True).run(plan)
-        oracle = DesSimulator(app, arch, mapping, policies, fm,
-                              schedule, use_des=False).run(plan)
-        assert queued.result == oracle.result
-        assert queued.events == oracle.events
-
-        monkeypatch.setenv("REPRO_DES", "0")
-        assert not des_default()
-        hatched = simulate_des(app, arch, mapping, policies, fm,
-                               schedule, plan)
-        monkeypatch.setenv("REPRO_DES", "1")
-        assert des_default()
-        assert hatched == simulate_des(app, arch, mapping, policies,
-                                       fm, schedule, plan)
-        monkeypatch.delenv("REPRO_DES")
-        assert des_default()
 
     def test_table_path_produces_an_event_log(self, fig5_design):
         app, arch, mapping, policies, fm, schedule = fig5_design
@@ -184,6 +161,24 @@ class TestDesOnlyAxes:
                    for event in delivered)
         assert any("without input 'm1'" in error
                    for error in run.result.errors)
+
+    def test_one_simulator_runs_each_plan_as_if_fresh(self, fig5_design):
+        """The forward engine is compiled once per design and reused:
+        nothing one plan writes (knowledge, busy times, deliveries,
+        retransmission reservations) may reach the next."""
+        app, arch, mapping, policies, fm, schedule = fig5_design
+        plans = [
+            DesFaultPlan(base=FaultPlan({}),
+                         slot_faults=(SlotFault(9, 0),)),
+            DesFaultPlan(base=FaultPlan({}),
+                         windows=(FaultWindow("N1", 4.0, 9.0),)),
+            DesFaultPlan(base=FaultPlan({}), jitter={"P1": 3.0}),
+        ]
+        shared = DesSimulator(app, arch, mapping, policies, fm, schedule)
+        for plan in plans + plans:
+            fresh = DesSimulator(app, arch, mapping, policies, fm,
+                                 schedule)
+            assert shared.run(plan) == fresh.run(plan), plan.describe()
 
     def test_corrupting_an_idle_slot_changes_nothing(self, fig5_design):
         app, arch, mapping, policies, fm, schedule = fig5_design

@@ -5,8 +5,9 @@ pop in anchored eps-clusters of time; within one cluster, priority
 beats sub-eps time jitter and the monotone insertion counter breaks
 the remaining ties. Hypothesis drives the structural properties
 (cluster membership and priority order are invariant under shuffled
-insertion), and a pinned regression nails the anchor-vs-chain
-distinction for two events 1.5 eps apart.
+insertion; a presorted lowest-urgency stream merged into the clusters
+pops exactly as if it had been pushed), and pinned regressions nail
+the anchor-vs-chain distinction for two events 1.5 eps apart.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from repro.utils.mathutils import TIME_EPS
 #: point is its own cluster; the sub-eps offsets below jitter inside.
 GRID = 1e-4
 JITTERS = (0.0, 2e-7, 5e-7, 9e-7)
+
+#: Priority of a presorted stream: below every pushed event's urgency
+#: (the stream tests push priorities 0..2).
+LOW = 3
 
 EVENTS = st.lists(
     st.tuples(st.integers(0, 12), st.sampled_from(JITTERS),
@@ -121,17 +126,92 @@ class TestPinnedRegressions:
     def test_empty_queue_raises(self):
         queue = EventQueue()
         assert not queue
-        assert len(queue) == 0
-        with pytest.raises(IndexError):
-            queue.peek_time()
         with pytest.raises(IndexError):
             queue.pop_cluster()
 
-    def test_peek_and_drain(self):
-        queue = EventQueue()
-        queue.push(2.0, 0, "b")
-        queue.push(1.0, 0, "a")
-        assert queue.peek_time() == 1.0
-        assert [payload for *_rest, payload in queue.drain()] \
-            == ["a", "b"]
+    def test_exhausted_stream_empties_the_queue(self):
+        queue = EventQueue(((1.0, LOW, 0, "a"), (2.0, LOW, 1, "b")))
+        assert queue
+        assert [payload for *_rest, payload in queue.pop_cluster()] \
+            == ["a"]
+        assert [payload for *_rest, payload in queue.pop_cluster()] \
+            == ["b"]
         assert not queue
+        with pytest.raises(IndexError):
+            queue.pop_cluster()
+
+    def test_pushed_event_half_eps_after_activation_joins_first(self):
+        """A pushed event 0.5 eps after a stream activation falls in
+        the activation's cluster and, being more urgent, runs first."""
+        queue = EventQueue(((1.0, LOW, 0, "activate"),))
+        queue.push(1.0 + 0.5 * TIME_EPS, 2, "finish")
+        assert [payload for *_rest, payload in queue.pop_cluster()] \
+            == ["finish", "activate"]
+        assert not queue
+
+    def test_pushed_event_1_5_eps_after_activation_stays_apart(self):
+        queue = EventQueue(((1.0, LOW, 0, "activate"),))
+        queue.push(1.0 + 1.5 * TIME_EPS, 0, "finish")
+        assert [payload for *_rest, payload in queue.pop_cluster()] \
+            == ["activate"]
+        assert [payload for *_rest, payload in queue.pop_cluster()] \
+            == ["finish"]
+
+
+#: Offsets of pushes made between pops, from a time of the cluster
+#: just popped: inside, on and beyond the eps boundary, and later.
+OFFSETS = (0.0, 0.5 * TIME_EPS, TIME_EPS, 1.5 * TIME_EPS, GRID,
+           2.5 * GRID)
+
+#: Cap on pushes between pops (each popped push may cause more).
+MAX_DYNAMIC = 16
+
+
+def _resolved(cluster):
+    """A popped cluster without its sequence numbers, which differ
+    between a streamed and a pushed copy of the same event."""
+    return [(time, priority, payload)
+            for time, priority, _seq, payload in cluster]
+
+
+class TestStreamMerge:
+    """The presorted stream pops as if it had been pushed first."""
+
+    RELAXED = settings(max_examples=120, deadline=None)
+
+    @RELAXED
+    @given(raw_stream=st.lists(
+               st.tuples(st.integers(0, 12), st.sampled_from(JITTERS)),
+               max_size=24),
+           raw_pushed=st.lists(
+               st.tuples(st.integers(0, 12), st.sampled_from(JITTERS),
+                         st.integers(0, 2)),
+               max_size=12),
+           data=st.data())
+    def test_merged_stream_matches_plain_heap(self, raw_stream,
+                                              raw_pushed, data):
+        times = sorted(grid * GRID + jitter for grid, jitter in raw_stream)
+        stream = tuple((time, LOW, index, ("stream", index))
+                       for index, time in enumerate(times))
+        merged = EventQueue(stream)
+        plain = EventQueue()
+        for time, priority, _seq, payload in stream:
+            plain.push(time, priority, payload)
+
+        def push(time, priority, payload):
+            merged.push(time, priority, payload)
+            plain.push(time, priority, payload)
+
+        for index, (grid, jitter, priority) in enumerate(raw_pushed):
+            push(grid * GRID + jitter, priority, ("pushed", index))
+        dynamic = 0
+        while plain:
+            assert merged
+            ours = merged.pop_cluster()
+            assert _resolved(ours) == _resolved(plain.pop_cluster())
+            while dynamic < MAX_DYNAMIC and data.draw(st.booleans()):
+                time = ours[0][0] + data.draw(st.sampled_from(OFFSETS))
+                push(time, data.draw(st.integers(0, 2)),
+                     ("dynamic", dynamic))
+                dynamic += 1
+        assert not merged

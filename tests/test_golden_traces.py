@@ -22,15 +22,25 @@ of one pinned plan per axis and per design is the artifact that pins
 their behavior. The pinned plans are derived deterministically from
 each design's own schedule (first attempt, first message frame), so
 they stay meaningful if the presets evolve.
+
+``gen8p2n_k3_des_campaign.txt`` pins a whole campaign-length sequence
+instead: every plan of two generated designs' extended campaign
+samples, run through one simulator per design, one digest line per
+plan. It is the guard against state carried from one plan into the
+next by the simulator's per-design compile.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 
 import pytest
 
+from repro.campaigns import CampaignConfig
+from repro.campaigns.runner import build_campaign_design, campaign_jobs
+from repro.campaigns.sampling import sample_campaign_plans
 from repro.des import DesSimulator, render_trace
 from repro.ftcpg.scenarios import (
     DesFaultPlan,
@@ -41,10 +51,12 @@ from repro.ftcpg.scenarios import (
 )
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
+from repro.runtime.faults import extend_fault_plans
 from repro.runtime.simulator import SimulationResult, simulate
 from repro.schedule.conditional import synthesize_schedule
 from repro.schedule.table import EntryKind
-from repro.synthesis import initial_mapping
+from repro.synthesis import TabuSettings, initial_mapping
+from repro.utils.rng import derive_seed
 from repro.verify.core import ScenarioSweep
 from repro.workloads.presets import brake_by_wire, fig5_example
 
@@ -202,3 +214,68 @@ class TestDesGoldenTraces:
                 f"# errors: {len(run.result.errors)}\n"
                 + render_trace(run.events))
         _check_golden(f"{name}_des_{axis}", text)
+
+
+#: Workload seeds of the campaign-shaped designs pinned below.
+CAMPAIGN_SEEDS = (1, 2)
+
+
+def _campaign_des_lines(seed: int) -> list[str]:
+    """Run one generated design's extended campaign sample through one
+    simulator and digest every plan's outcome and event log."""
+    config = CampaignConfig(
+        workload={"processes": 8, "nodes": 2, "seed": seed},
+        k=3, strategy="MX", sampler="stratified", samples=80,
+        chunks=1, seed=seed,
+        settings=TabuSettings(iterations=8, neighborhood=8,
+                              bus_contention=False),
+        intermittent=1, slot_faults=1, jitter=0.5)
+    design = build_campaign_design(campaign_jobs(config)[0].params_dict())
+    app, arch, schedule = design.app, design.arch, design.schedule
+    policies = design.result.policies
+    plans = sample_campaign_plans(
+        app, policies, config.k, sampler=config.sampler,
+        samples=config.samples,
+        seed=derive_seed(config.seed, "campaign-plans"))
+    plans = extend_fault_plans(
+        plans, node_names=arch.node_names,
+        process_names=app.process_names,
+        horizon=schedule.worst_case_length,
+        round_length=arch.bus.round_length,
+        slots_per_round=len(arch.bus.slot_order),
+        intermittent=config.intermittent,
+        slot_faults=config.slot_faults, jitter=config.jitter,
+        seed=derive_seed(config.seed, "campaign-des"))
+    des = DesSimulator(app, arch, design.result.mapping, policies,
+                       design.fault_model, schedule)
+    lines = [f"# design seed {seed}: {len(plans)} plans"]
+    for plan in plans:
+        run = des.run(plan)
+        errors = run.result.errors
+        digest = hashlib.sha256(
+            render_trace(run.events).encode("utf-8")).hexdigest()
+        lines.append(
+            f"{plan.describe()} | makespan {run.result.makespan:.6f} | "
+            f"errors {len(errors)} | first {errors[0] if errors else '-'}"
+            f" | events {len(run.events)} | {digest}")
+    return lines
+
+
+class TestDesCampaignGolden:
+    """One simulator, many plans: the forward path must not carry state
+    from one plan into the next.
+
+    Two generated designs shaped like the ``campaign-des`` benchmark
+    workload (8 processes, 2 nodes, k=3, MX) run their stratified
+    campaign sample — the fault-free anchor plus 80 faulty plans
+    extended with one intermittent window, one corrupted slot and
+    release jitter — in sequence through one :class:`DesSimulator`;
+    one line per plan pins its outcome and the SHA-256 of its
+    rendered event log.
+    """
+
+    def test_des_campaign_sequence_pinned(self):
+        lines: list[str] = []
+        for seed in CAMPAIGN_SEEDS:
+            lines.extend(_campaign_des_lines(seed))
+        _check_golden("gen8p2n_k3_des_campaign", "\n".join(lines) + "\n")

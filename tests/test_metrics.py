@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ftcpg.conditions import AttemptId, ConditionLiteral, Guard
 from repro.model import FaultModel, Transparency
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.schedule import (
@@ -12,6 +13,7 @@ from repro.schedule import (
     synthesize_schedule,
 )
 from repro.schedule.metrics import BYTES_PER_COLUMN, BYTES_PER_ENTRY
+from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
 from repro.workloads import GeneratorConfig, generate_workload
 
 
@@ -67,6 +69,26 @@ class TestMetrics:
         assert frozen.distinct_attempt_starts <= \
             free.distinct_attempt_starts
         assert frozen.worst_case_length >= free.worst_case_length - 1e-6
+
+    def test_attempt_starts_within_eps_count_once(self):
+        """Two starts of one attempt 2e-10 apart, on either side of a
+        6-decimal rounding boundary, are one start."""
+        attempt = AttemptId("P1", 0, 1, 1)
+
+        def entry(start, guard):
+            return TableEntry(kind=EntryKind.ATTEMPT, location="N1",
+                              guard=guard, start=start, duration=2.0,
+                              attempt=attempt, can_fail=True)
+
+        near = ScheduleSet(
+            entries=(entry(1.0000004999, Guard()),
+                     entry(1.0000005001, Guard([ConditionLiteral(
+                         AttemptId("P0", 0, 1, 1), True)])),
+                     entry(5.0, Guard([ConditionLiteral(
+                         AttemptId("P0", 0, 1, 1), False)]))),
+            leaves=(), worst_case_length=7.0, fault_free_length=3.0,
+            deadline=10.0)
+        assert schedule_metrics(near).distinct_attempt_starts == 2
 
     def test_k_grows_tables(self, instance):
         app, arch, mapping, policies, fm = instance

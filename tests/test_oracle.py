@@ -22,15 +22,7 @@ The three views of a design's worst case must agree:
   replication it is *shorter*: a process completes at its first
   successful copy, the trace schedules them all).
 
-PR 8 adds a fourth leg: the **event-driven simulator**
-(:class:`repro.des.DesSimulator`) must be *bit-identical* to the
-table replay — full :class:`~repro.runtime.simulator.SimulationResult`
-equality — on every table-expressible scenario of every design the
-triangle visits. The queue-ordered path and the replay oracle share
-their handlers, so this leg pins the one thing that can drift: the
-event ordering law.
-
-PR 9 adds a fifth leg: the **array-compiled kernels**
+A fourth leg holds the **array-compiled kernels**
 (:mod:`repro.kernels`) against ``REPRO_KERNELS=0``. Every design the
 grid visits asserts full :class:`~repro.schedule.estimation.FtEstimate`
 equality kernel-on vs oracle (both slack-sharing modes) and full
@@ -55,7 +47,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaigns.stats import estimate_bound
-from repro.des import DesSimulator
 from repro.eval.core import EvaluatorPool
 from repro.kernels import KERNELS_ENV
 from repro.kernels.batch import BatchedSimulator
@@ -110,18 +101,11 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
                                         max_contexts=200_000)
     sweep = ScenarioSweep(app, arch, design.mapping, design.policies,
                           fault_model, schedule)
-    des = DesSimulator(app, arch, design.mapping, design.policies,
-                       fault_model, schedule)
     batched = BatchedSimulator(app, arch, design.mapping,
                                design.policies, fault_model, schedule)
     stats = VerificationStats()
     for result in sweep.results():
         stats.observe(result)
-        # DES vs simulator: the event-queue path reproduces the
-        # replayed result bit for bit, scenario by scenario.
-        assert des.simulate(result.plan) == result, (
-            f"{app.name}/{strategy}/k={k}: DES diverged on "
-            f"{result.plan.describe()}")
         # Kernel vs simulator: the batched scenario kernel reproduces
         # the replayed result bit for bit as well.
         assert batched.simulate_plan(result.plan) == result, (
@@ -185,22 +169,6 @@ class TestOracleGrid:
         for strategy in STRATEGIES:
             for k in K_VALUES:
                 _check_triangle(app, arch, strategy, k)
-
-
-class TestDesOracleIdentity:
-    """Quick DES-vs-replay identity check (the CI smoke target).
-
-    The full grid and property classes below already assert the DES
-    leg on every design they visit; this class is a two-design slice
-    selectable with ``-k des`` so CI can smoke the identity without
-    paying for the whole grid.
-    """
-
-    @pytest.mark.parametrize("seed", (0, 1))
-    def test_des_matches_oracle(self, seed):
-        app, arch = generate_workload(GeneratorConfig(
-            processes=5, nodes=2, seed=seed, layer_width=3))
-        _check_triangle(app, arch, "MXR", 2)
 
 
 class TestOracleProperty:
