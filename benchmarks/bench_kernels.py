@@ -10,10 +10,12 @@ is a real regression on any machine):
   per-plan :func:`~repro.runtime.simulate` on one synthesized design —
   same :class:`~repro.runtime.SimulationResult` per plan, bit for bit.
 
-The batched floor is deliberately conservative (3x) next to the
-measured steady-state speedup (tens of x, reported as
-``extra_info["speedup"]``): the oracle baseline is timed on a bounded
-plan subset to keep CI time sane, so the floor absorbs subset noise.
+The batched floor (20x) sits at about half the measured speedup
+(40-42x on a 2-vCPU VM, reported as ``extra_info["speedup"]``): the
+oracle baseline is timed on a bounded plan subset to keep CI time
+sane, so the floor absorbs subset noise, yet a guard evaluator that
+re-checks every guard mentioning a faulty copy (measured 10-12x)
+fails it.
 
 Run:  pytest benchmarks/bench_kernels.py --benchmark-only
 
@@ -54,10 +56,10 @@ KERNEL_PLANS = 300 if QUICK else 600
 #: Acceptance floors (both profiles). The estimator floor is modest —
 #: the kernel reuses the oracle's bus/send machinery and only the
 #: table-driven schedule loop accelerates (measured ~1.4x); the
-#: batched floor sits far under the measured tens-of-x. Both absorb
-#: shared-runner noise via interleaved best-of-N timing.
+#: batched floor is half the measured ~40x. Both absorb shared-runner
+#: noise via interleaved best-of-N timing.
 MIN_ESTIMATOR_SPEEDUP = 1.1
-MIN_BATCH_SPEEDUP = 3.0
+MIN_BATCH_SPEEDUP = 20.0
 
 
 def _kernels_off():
@@ -164,7 +166,7 @@ def test_batched_scenarios_speedup(benchmark):
     def run():
         batched = BatchedSimulator(app, arch, mapping, policies, fm,
                                    schedule)
-        return list(batched.results(plans))
+        return [batched.simulate_plan(plan) for plan in plans]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     kernel_per_plan = benchmark.stats.stats.total / len(plans)

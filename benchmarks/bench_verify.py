@@ -1,22 +1,17 @@
-"""Benchmark: sharded verification vs serial full re-simulation.
+"""Benchmark: sharded verification vs the serial oracle.
 
-Two measurements on a Fig. 7-scale workload (20 processes quick /
-30 full, ``k = 2``):
-
-* **prefix reuse** — the scenario sweep with state forking along
-  shared fault-plan prefixes vs the forced-full oracle
-  (``REPRO_VERIFY_INCREMENTAL=0`` semantics) on the identical
-  schedule. Results must match exactly and the forked walk must be
-  **>= 3x** faster — the acceptance floor, asserted in every profile
-  and independent of core count;
-* **sharded engine** — ``run_verification`` serially, across a worker
-  pool, and forced-full: all three reports must be byte-identical
-  (the chunk layout pins the fold order, so worker count and sweep
-  mode can never show in the output). On a >= 4-core machine in the
-  full profile, the parallel sharded run must also beat the legacy
-  single-chunk forced-full baseline >= 3x end to end (at quick scale
-  the per-chunk synthesis overhead dominates the small scenario set,
-  so the wall-clock gate stays out of that profile).
+``run_verification`` on a Fig. 7-scale workload (20 processes quick /
+30 full, ``k = 2``) serially, across a worker pool, and with
+``REPRO_KERNELS=0`` (every scenario through the one-shot ``simulate()``
+oracle): all three reports must agree byte for byte, except the
+oracle report's ``kernels.enabled`` flag (the chunk layout pins the
+fold order, so neither worker count nor replay path can show in the
+output). On a >= 4-core machine in the full profile, the parallel
+sharded run must also beat the legacy-shaped single-chunk oracle
+baseline >= 3x end to end (at quick scale the per-chunk synthesis
+overhead dominates the small scenario set, so the wall-clock gate
+stays out of that profile). The batched kernel's own speedup floor
+lives in ``benchmarks/bench_kernels.py``.
 
 Run:  pytest benchmarks/bench_verify.py --benchmark-only
 
@@ -25,21 +20,15 @@ Run:  pytest benchmarks/bench_verify.py --benchmark-only
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import replace
 
-from repro.campaigns.runner import synthesize_campaign_design
 from repro.engine import EngineConfig
-from repro.eval.core import EvaluatorPool
-from repro.model import FaultModel
+from repro.kernels import KERNELS_ENV
 from repro.synthesis.tabu import TabuSettings
-from repro.verify import (
-    ScenarioSweep,
-    VerifyConfig,
-    run_verification,
-)
-from repro.verify.runner import load_verify_workload
+from repro.verify import VerifyConfig, run_verification
 
 QUICK = os.environ.get("REPRO_BENCH_PROFILE", "quick") != "full"
 
@@ -52,79 +41,37 @@ CONFIG = VerifyConfig(
     k=2, chunks=4, settings=SETTINGS)
 WORKERS = min(4, os.cpu_count() or 1)
 
-#: Acceptance floor for the prefix-reuse sweep (both profiles).
+#: Acceptance floor for the parallel sharded run (full profile).
 MIN_SPEEDUP = 3.0
 
 
-def _design():
-    app, arch, __ = load_verify_workload(CONFIG.workload)
-    pool = EvaluatorPool()
-    result = synthesize_campaign_design(
-        app, arch, CONFIG.k, CONFIG.strategy, CONFIG.settings,
-        CONFIG.seed, pool=pool)
-    fault_model = FaultModel(k=CONFIG.k)
-    evaluator = pool.evaluator_for(app, arch, fault_model)
-    schedule = evaluator.exact_schedule(
-        result.policies, result.mapping,
-        max_contexts=CONFIG.max_contexts)
-    return app, arch, result.mapping, result.policies, fault_model, \
-        schedule
-
-
-def _digest(results) -> list:
-    return [(r.plan.describe(), round(r.makespan, 9),
-             tuple(r.errors)) for r in results]
-
-
-def test_prefix_reuse_speedup(benchmark):
-    app, arch, mapping, policies, fault_model, schedule = _design()
-
-    full_sweep = ScenarioSweep(app, arch, mapping, policies,
-                               fault_model, schedule,
-                               incremental=False)
-    started = time.perf_counter()
-    full = _digest(full_sweep.results())
-    full_time = time.perf_counter() - started
-
-    forked_sweep = ScenarioSweep(app, arch, mapping, policies,
-                                 fault_model, schedule,
-                                 incremental=True)
-    forked = benchmark.pedantic(
-        lambda: _digest(forked_sweep.results()), rounds=1,
-        iterations=1)
-    forked_time = benchmark.stats.stats.total
-
-    # The fork's core guarantee: bit-identical scenario results.
-    assert forked == full
-
-    speedup = full_time / forked_time if forked_time else 0.0
-    benchmark.extra_info["scenarios"] = len(full)
-    benchmark.extra_info["entries"] = len(schedule.entries)
-    benchmark.extra_info["full_seconds"] = round(full_time, 2)
-    benchmark.extra_info["forked_seconds"] = round(forked_time, 2)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert speedup >= MIN_SPEEDUP, (
-        f"expected >= {MIN_SPEEDUP}x from trace-prefix reuse, got "
-        f"{speedup:.2f}x (full {full_time:.2f}s, forked "
-        f"{forked_time:.2f}s over {len(full)} scenarios)")
+def _without_enabled(report) -> dict:
+    """Report payload minus the one value the kernels switch moves."""
+    payload = json.loads(report.to_json())
+    payload["kernels"]["enabled"] = None
+    return payload
 
 
 def test_sharded_engine_identity_and_speedup(benchmark):
-    # Legacy-shaped baseline: one chunk, one worker, full
-    # re-simulation of every scenario from t = 0.
+    # Legacy-shaped baseline: one chunk, one worker, every scenario
+    # through the one-shot simulate() oracle.
     baseline_config = replace(CONFIG, chunks=1)
-    os.environ["REPRO_VERIFY_INCREMENTAL"] = "0"
+    saved = os.environ.get(KERNELS_ENV)
+    os.environ[KERNELS_ENV] = "0"
     try:
         started = time.perf_counter()
         baseline = run_verification(
             baseline_config, engine_config=EngineConfig(workers=1))
         baseline_time = time.perf_counter() - started
-        # Same sharded layout, forced-full mode (still serial so the
-        # flag reaches the in-process chunk runners).
+        # Same sharded layout through the oracle (still serial so the
+        # switch reaches the in-process chunk runners).
         forced = run_verification(
             CONFIG, engine_config=EngineConfig(workers=1))
     finally:
-        del os.environ["REPRO_VERIFY_INCREMENTAL"]
+        if saved is None:
+            del os.environ[KERNELS_ENV]
+        else:
+            os.environ[KERNELS_ENV] = saved
 
     started = time.perf_counter()
     serial = run_verification(CONFIG,
@@ -138,9 +85,10 @@ def test_sharded_engine_identity_and_speedup(benchmark):
         rounds=1, iterations=1)
     parallel_time = benchmark.stats.stats.total
 
-    # Byte-identical reports across worker counts and sweep modes.
+    # Byte-identical reports across worker counts; the oracle path
+    # differs in the kernels.enabled flag alone.
     assert parallel.to_json() == serial.to_json()
-    assert forced.to_json() == serial.to_json()
+    assert _without_enabled(forced) == _without_enabled(serial)
     # The chunk layout changes the merge fold, never the verdict.
     assert baseline.ok == serial.ok
     assert baseline.stats.scenarios == serial.stats.scenarios
@@ -157,7 +105,7 @@ def test_sharded_engine_identity_and_speedup(benchmark):
     benchmark.extra_info["speedup_vs_baseline"] = round(speedup, 2)
     if (os.cpu_count() or 1) >= 4 and WORKERS >= 4 and not QUICK:
         assert speedup >= MIN_SPEEDUP, (
-            f"expected >= {MIN_SPEEDUP}x from sharding + prefix "
-            f"reuse with {WORKERS} workers, got {speedup:.2f}x "
+            f"expected >= {MIN_SPEEDUP}x from sharding + the batched "
+            f"kernel with {WORKERS} workers, got {speedup:.2f}x "
             f"(baseline {baseline_time:.1f}s, parallel "
             f"{parallel_time:.1f}s)")

@@ -13,7 +13,7 @@ Commands
 ``verify``
     Synthesize a design and *prove* its tolerance claim: simulate
     every fault scenario within the budget, sharded through the batch
-    engine with trace-prefix reuse (parallel workers, resumable
+    engine in contiguous scenario windows (parallel workers, resumable
     checkpoints, byte-identical reports).
 ``fig7`` / ``fig8``
     Run the paper's evaluation sweeps (quick or paper profile).
@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="synthesize and exhaustively verify: every fault "
              "scenario simulated, sharded through the batch engine "
-             "with trace-prefix reuse")
+             "in contiguous scenario windows")
     add_workload_args(p_verify)
     add_search_args(p_verify)
     p_verify.add_argument("--chunks", type=_positive_int, default=4,

@@ -567,8 +567,8 @@ def certify_frontier(config: DseConfig, report: DseReport) -> None:
     Re-derives each frontier candidate's design exactly as the chunk
     runners did (same tabu seed derivation, same checkpoint-count
     transform, same transparency vector), sweeps **all** its fault
-    scenarios through the prefix-reuse verifier and annotates the
-    point in place:
+    scenarios through :class:`~repro.verify.core.ScenarioSweep` and
+    annotates the point in place:
 
     * ``extras["certified"]`` — True/False, or None when the
       scenario count exceeds ``config.verify_max_scenarios`` (the

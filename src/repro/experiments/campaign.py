@@ -71,8 +71,8 @@ class CampaignSweepConfig:
             iterations=8, neighborhood=8, bus_contention=False))
     max_contexts: int = 200_000
     #: Also certify each cell's design exhaustively (the sweep sizes
-    #: are small enough that the prefix-reuse verifier covers the
-    #: whole scenario set); cells beyond the ceiling report ``None``.
+    #: are small enough that the scenario sweep covers the whole
+    #: scenario set); cells beyond the ceiling report ``None``.
     certify: bool = True
     certify_max_scenarios: int = 50_000
 

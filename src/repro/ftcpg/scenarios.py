@@ -212,12 +212,10 @@ class PlanEnumeration:
     ``copies[d]`` is the d-th copy in enumeration order (process
     declaration order, then copy index), ``copy_plans[d]`` its
     recovery plan, and ``options[d]`` its admissible per-segment fault
-    distributions, ordered by total then lexicographically. Both
-    :func:`iter_fault_plans` and the scenario-sweep verifier
-    (:mod:`repro.verify.core`) walk exactly this tree — sharing the
-    tables is what makes the sweep's emission order *structurally*
-    identical to the iterator's, rather than identical by parallel
-    reimplementation.
+    distributions, ordered by total then lexicographically.
+    :meth:`plans` walks exactly this tree; :func:`iter_fault_plans`
+    and the scenario sweep (:mod:`repro.verify.core`) both delegate to
+    it, so every caller sees one emission order by construction.
     """
 
     k: int
@@ -229,10 +227,10 @@ class PlanEnumeration:
         """DP table: ``leaves[d][b]`` = plans completable from copy
         ``d`` with ``b`` faults of budget left.
 
-        ``leaves[0][k]`` is the total plan count; the verifier uses
+        ``leaves[0][k]`` is the total plan count; :meth:`plans` uses
         the full table to *skip* whole subtrees whose leaf range falls
-        outside a shard's contiguous scenario window, so a shard pays
-        only for the scenarios it simulates (plus the shared spine).
+        outside a contiguous scenario window, so a shard pays only for
+        the scenarios it simulates (plus the shared spine).
         """
         depth = len(self.copies)
         table = [[0] * (self.k + 1) for _ in range(depth + 1)]
@@ -255,6 +253,55 @@ class PlanEnumeration:
     def total(self) -> int:
         """Number of plans the enumeration yields."""
         return self.subtree_leaves()[0][self.k]
+
+    def plans(self, start: int = 0, stop: int | None = None,
+              ) -> Iterator[FaultPlan]:
+        """Yield plans ``start .. stop-1`` of the enumeration order.
+
+        Budget-pruned recursion rather than product-then-filter: the
+        naive cartesian product walks |options|^copies combinations
+        even when almost all exceed the budget (5^30 combos for 46k
+        valid plans on a 30-process instance). Per-copy options are
+        ordered by total, so a branch cuts as soon as one copy
+        overdraws, and a subtree whose leaves all lie outside the
+        window is skipped whole (:meth:`subtree_leaves`) — its plans
+        are never built.
+        """
+        leaves = self.subtree_leaves()
+        total = leaves[0][self.k]
+        start = max(0, start)
+        stop = total if stop is None else min(stop, total)
+        copies = self.copies
+        options = self.options
+        depth_count = len(copies)
+        # The faulty copies of the current branch, in enumeration order.
+        faulty: list[tuple[CopyKey, tuple[int, ...]]] = []
+        passed = 0  # leaves passed, including skipped subtrees
+
+        def expand(depth: int, remaining: int) -> Iterator[FaultPlan]:
+            nonlocal passed
+            if depth == depth_count:
+                passed += 1
+                yield FaultPlan(faults=dict(faulty))
+                return
+            for counts in options[depth]:
+                used = sum(counts)
+                if used > remaining:
+                    break  # ordered by total: the rest overdraws too
+                subtree = leaves[depth + 1][remaining - used]
+                if passed + subtree <= start:
+                    passed += subtree  # whole subtree before the window
+                    continue
+                if passed >= stop:
+                    return  # whole window emitted
+                if used:
+                    faulty.append((copies[depth], counts))
+                yield from expand(depth + 1, remaining - used)
+                if used:
+                    faulty.pop()
+
+        if start < stop:
+            yield from expand(0, self.k)
 
 
 def plan_enumeration(app: Application, policies: PolicyAssignment,
@@ -284,40 +331,11 @@ def iter_fault_plans(app: Application, policies: PolicyAssignment,
     """Yield every fault plan with at most ``k`` total faults.
 
     Plans are emitted in nondecreasing order of per-copy budgets but
-    not globally sorted by total; the fault-free plan comes first when
-    ``include_fault_free`` is set.
+    not globally sorted by total; the fault-free plan comes first (it
+    is skipped unless ``include_fault_free`` is set).
     """
     enumeration = plan_enumeration(app, policies, k)
-    copies = enumeration.copies
-    options = enumeration.options
-
-    # Budget-pruned recursion rather than product-then-filter: the
-    # naive cartesian product walks |options|^copies combinations even
-    # when almost all exceed the budget (5^30 combos for 46k valid
-    # plans on a 30-process instance), which made "exhaustive but
-    # modest" scenario sets intractable. Per-copy options are ordered
-    # by total, so a branch can cut as soon as one copy overdraws; the
-    # emission order is exactly the order the filtered product had.
-    def expand(index: int, remaining: int,
-               chosen: list[tuple[int, ...]]) -> Iterator[FaultPlan]:
-        if index == len(options):
-            if remaining == k and not include_fault_free:
-                return
-            yield FaultPlan(faults={
-                key: counts
-                for key, counts in zip(copies, chosen)
-                if sum(counts) > 0
-            })
-            return
-        for counts in options[index]:
-            used = sum(counts)
-            if used > remaining:
-                break  # ordered by total: the rest overdraws too
-            chosen.append(counts)
-            yield from expand(index + 1, remaining - used, chosen)
-            chosen.pop()
-
-    yield from expand(0, k, [])
+    yield from enumeration.plans(0 if include_fault_free else 1)
 
 
 def count_fault_plans(app: Application, policies: PolicyAssignment,

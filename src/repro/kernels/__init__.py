@@ -17,7 +17,7 @@ problem (or one design's schedule) into flat integer-indexed tables
   :class:`~repro.schedule.estimation.EstimatorState`;
 * :mod:`repro.kernels.batch` — a batched scenario kernel advancing
   many fault plans of one design through the table replay with
-  delta ground truth and delta guard evaluation.
+  delta ground truth and a fault-signature index over the guards.
 
 Bit-identity is the acceptance gate, exactly as for
 ``REPRO_EVAL_INCREMENTAL`` (incremental re-evaluation): the
@@ -27,10 +27,9 @@ report and cache key matches byte for byte. ``REPRO_KERNELS=0``
 forces the oracle everywhere — the escape hatch the differential
 tests in ``tests/test_oracle.py`` compare against.
 
-Integer and float tables use plain Python ``list``/``array`` storage;
-:mod:`numpy`, when importable, accelerates only the int8 guard/state
-masks of the batched kernel (never float math — a leaked
-``np.float64`` would poison JSON payloads and byte-identity).
+Integer and float tables use plain Python ``list``/``array``/
+``bytearray`` storage, so the kernels have no optional dependency and
+every float they produce is a plain Python ``float``.
 """
 
 from __future__ import annotations

@@ -2,20 +2,22 @@
 
 :class:`BatchedSimulator` compiles one design's conditional schedule
 into integer-indexed tables once (attempt-id universe, per-entry
-static fields, guard literals as a CSR index array, copy →
-guarded-entry adjacency) and then advances many
+static fields, guard literals as ``(attempt id, wanted state)`` pairs,
+a fault-signature index over the guards) and then advances many
 :class:`~repro.ftcpg.scenarios.FaultPlan` scenarios through the table
 replay in one pass per plan:
 
-* *delta ground truth* — the fault-free base truth is derived once;
+* *delta ground truth* — the fault-free base state is derived once;
   a plan patches only the state of its ≤ k faulty copies;
-* *batched guard evaluation* — with numpy, all guards evaluate in one
-  vectorized gather/compare/segment-AND over the literal CSR (the
-  oracle re-filters every entry with a per-literal dict walk for
+* *fault-signature index* — an entry's signature is the set of copies
+  on which one of its guard literals disagrees with the base state,
+  and entries are bucketed by signature. A literal on a copy the plan
+  leaves alone still sees the base state, so only entries whose
+  signature is a subset of the plan's faulty copies can fire: a plan
+  evaluates the guards of at most 2^k buckets instead of every entry
+  (the oracle re-filters every entry with a per-literal dict walk for
   every plan — the dominant cost of
-  :func:`repro.runtime.simulator.simulate`); without numpy, only the
-  entries whose guards mention a faulty copy are re-evaluated against
-  the cached fault-free fired mask;
+  :func:`repro.runtime.simulator.simulate`);
 * *index replay* — the per-scenario invariant checks run over flat
   arrays keyed by attempt/copy/node indices instead of composite
   tuple keys.
@@ -29,17 +31,12 @@ strings. Clean scenarios are materialized into
 the oracle's byte for byte: the same completed-process dict in
 declaration order, the same makespan float, and the original
 :class:`~repro.schedule.table.TableEntry` objects in the identical
-replay order.
-
-numpy (when importable) accelerates only the int8/bool guard-state
-masks — all float values flow through plain Python floats, so no
-``np.float64`` can leak into results or JSON payloads; without numpy
-the masks fall back to ``bytearray``.
+replay order. Everything is plain Python — ``bytearray`` attempt
+states and Python floats — so the kernel needs no optional
+dependency.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Iterator
 
 from repro.ftcpg.conditions import AttemptId
 from repro.ftcpg.scenarios import FaultPlan
@@ -53,11 +50,6 @@ from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet
 from repro.utils.mathutils import eps_cluster_ids, fgt, flt
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional speedup
-    _np = None
-
 CopyKey = tuple[str, int]
 
 #: State encoding per attempt id: absent / executed-and-failed /
@@ -68,18 +60,6 @@ _ABSENT, _FAILED, _OK = 0, 1, 2
 #: Kind ranks matching :func:`repro.runtime.simulator._kind_rank`.
 _KIND_RANK = {EntryKind.BROADCAST: 0, EntryKind.MESSAGE: 1,
               EntryKind.ATTEMPT: 2}
-
-
-def _new_mask(size: int):
-    if _np is not None:
-        return _np.zeros(size, dtype=_np.int8)
-    return bytearray(size)
-
-
-def _copy_mask(mask):
-    if _np is not None:
-        return mask.copy()
-    return bytearray(mask)
 
 
 class BatchedSimulator:
@@ -230,7 +210,7 @@ class BatchedSimulator:
             self._prev_aid[j] = aid_of.get(prev_attempt, -1)
         self._n_aids = len(aid_of)
 
-        # -- aid -> copy, copy -> aids / guarded entries ----------------------
+        # -- aid -> copy, copy -> aids ----------------------------------------
         aid_cidx = [-1] * self._n_aids
         self._copy_aids: list[list[int]] = [[] for _ in range(n_copies)]
         self._copy_att_aid: list[dict[tuple[int, int], int]] = [
@@ -243,18 +223,9 @@ class BatchedSimulator:
             self._copy_aids[cidx].append(aid)
             self._copy_att_aid[cidx][(attempt.segment,
                                       attempt.attempt)] = aid
-        self._copy_entries: list[list[int]] = [
-            [] for _ in range(n_copies)]
-        for j in range(n_entries):
-            seen: set[int] = set()
-            for aid, _want in self._lits[j]:
-                cidx = aid_cidx[aid]
-                if cidx >= 0 and cidx not in seen:
-                    seen.add(cidx)
-                    self._copy_entries[cidx].append(j)
 
         # -- fault-free base state --------------------------------------------
-        base_state = _new_mask(self._n_aids)
+        base_state = bytearray(self._n_aids)
         for cidx in range(n_copies):
             att_aid = self._copy_att_aid[cidx]
             for segment in range(1, copy_segments[cidx] + 1):
@@ -263,64 +234,59 @@ class BatchedSimulator:
                     base_state[aid] = _OK
         self._base_state = base_state
 
-        # -- guard evaluation backend -----------------------------------------
-        if _np is not None:
-            # Literal CSR: one flat (aid, wanted-state) array pair plus
-            # per-entry offsets; a guard is satisfied iff the segment
-            # minimum of (state[aid] == want) is 1 (AND of literals).
-            counts = [len(lits) for lits in self._lits]
-            self._lit_aids = _np.array(
-                [aid for lits in self._lits for aid, _ in lits],
-                dtype=_np.int64)
-            self._lit_wants = _np.array(
-                [want for lits in self._lits for _, want in lits],
-                dtype=_np.int8)
-            offsets = _np.cumsum([0] + counts, dtype=_np.int64)[:-1]
-            self._nonempty = _np.array(counts, dtype=_np.int64) > 0
-            self._ne_offsets = offsets[self._nonempty]
-            self._base_fired = None
-        else:
-            # Pure-Python fallback: cache the fault-free fired mask and
-            # re-evaluate only the guards mentioning a patched copy.
-            base_fired = bytearray(n_entries)
-            for j in range(n_entries):
-                if self._guard_fires(j, base_state):
-                    base_fired[j] = 1
-            self._base_fired = base_fired
+        # -- fault-signature index --------------------------------------------
+        # Bucket entries by the bitmask of copies on which one of their
+        # literals disagrees with the base state. An entry with a
+        # literal on an attempt of no known copy can never fire (that
+        # attempt is absent in every scenario) and is dropped.
+        buckets: dict[int, list[int]] = {}
+        for j, lits_j in enumerate(self._lits):
+            signature = 0
+            for aid, want in lits_j:
+                cidx = aid_cidx[aid]
+                if cidx < 0:
+                    break
+                if base_state[aid] != want:
+                    signature |= 1 << cidx
+            else:
+                buckets.setdefault(signature, []).append(j)
+        self._buckets = buckets
 
     # -- per-plan evaluation --------------------------------------------------
 
-    def _guard_fires(self, j: int, state) -> bool:
-        for aid, want in self._lits[j]:
-            if state[aid] != want:
-                return False
-        return True
+    def _fired_ids(self, state: bytearray,
+                   patched: list[int]) -> list[int]:
+        """Indices of fired entries (presort order) for one state.
 
-    def _fired_ids(self, state, patched: Iterable[int]) -> list[int]:
-        """Indices of fired entries (presort order) for one state."""
-        if _np is not None:
-            fired = _np.ones(len(self._entries), dtype=bool)
-            if self._ne_offsets.size:
-                ok = state[self._lit_aids] == self._lit_wants
-                minima = _np.minimum.reduceat(
-                    ok.view(_np.int8), self._ne_offsets)
-                fired[self._nonempty] = minima == 1
-            return _np.nonzero(fired)[0].tolist()
-        fired = _copy_mask(self._base_fired)
-        stale: set[int] = set()
+        ``patched`` holds the copies whose state differs from the base
+        state. Outside them every literal sees the base state, so only
+        the buckets keyed by a subset of ``patched`` can hold an entry
+        that fires; their guards are checked against ``state``.
+        """
+        signatures = [0]
         for cidx in patched:
-            stale.update(self._copy_entries[cidx])
-        for j in stale:
-            fired[j] = 1 if self._guard_fires(j, state) else 0
-        return [j for j, flag in enumerate(fired) if flag]
+            bit = 1 << cidx
+            signatures += [signature | bit for signature in signatures]
+        buckets = self._buckets
+        lits = self._lits
+        fired: list[int] = []
+        for signature in signatures:
+            for j in buckets.get(signature, ()):
+                for aid, want in lits[j]:
+                    if state[aid] != want:
+                        break
+                else:
+                    fired.append(j)
+        fired.sort()
+        return fired
 
     def _patch_copy(self, state, cidx: int,
                     counts: tuple[int, ...]) -> bool:
         """Apply one copy's fault distribution; return its success.
 
-        Mirrors :func:`repro.runtime.simulator._copy_ground_truth`
-        over the interned attempt universe (attempts no entry or guard
-        references are unobservable and skipped).
+        Mirrors the ground truth :func:`repro.runtime.simulator.simulate`
+        derives, over the interned attempt universe (attempts no entry
+        or guard references are unobservable and skipped).
         """
         for aid in self._copy_aids[cidx]:
             state[aid] = _ABSENT
@@ -352,12 +318,6 @@ class BatchedSimulator:
             done = segment
         return alive and done == segments
 
-    def results(self, plans: Iterable[FaultPlan],
-                ) -> Iterator[SimulationResult]:
-        """Simulate plans in order (kernel fast path, oracle escape)."""
-        for plan in plans:
-            yield self.simulate_plan(plan)
-
     def simulate_plan(self, plan: FaultPlan) -> SimulationResult:
         """One scenario: kernel replay, oracle fallback on violations."""
         result = None
@@ -374,14 +334,15 @@ class BatchedSimulator:
 
     def _try_kernel(self, plan: FaultPlan) -> SimulationResult | None:
         # -- delta ground truth + guard evaluation ----------------------------
-        state = _copy_mask(self._base_state)
+        state = bytearray(self._base_state)
         success: dict[int, bool] = {}
         for key, counts in plan.faults.items():
             cidx = self._copy_of.get(key)
             if cidx is None:
                 return None
-            success[cidx] = self._patch_copy(state, cidx, counts)
-        fired_ids = self._fired_ids(state, success)
+            if any(counts):  # an all-zero distribution is the base state
+                success[cidx] = self._patch_copy(state, cidx, counts)
+        fired_ids = self._fired_ids(state, list(success))
 
         # -- per-plan replay order (subset eps-clustering) --------------------
         starts = self._start

@@ -12,9 +12,7 @@ problem pay the lowering once.
 Float vectors are stored as ``array('d')`` and index vectors as
 ``array('q')`` — indexing either returns a plain Python ``float`` /
 ``int``, which is what keeps kernel arithmetic byte-identical to the
-oracle (numpy scalars would leak ``np.float64`` into results and JSON
-payloads; numpy is therefore used only for the int8 guard masks of
-:mod:`repro.kernels.batch`).
+oracle. The kernels need nothing outside the standard library.
 """
 
 from __future__ import annotations

@@ -43,66 +43,36 @@ from repro.utils.mathutils import eps_cluster_ids, fgt, flt
 CopyKey = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class _GroundTruth:
-    """Derived from the fault plan: what actually happens."""
-
-    executed: dict[AttemptId, bool]  # attempt -> failed?
-    copy_success: dict[CopyKey, bool]
-    copy_segments_done: dict[CopyKey, int]
-
-
-def _copy_ground_truth(process_name: str, copy_index: int, copy_plan,
-                       counts: tuple[int, ...],
-                       ) -> tuple[dict[AttemptId, bool], bool, int]:
-    """Ground truth of one copy under a per-segment fault distribution.
-
-    Returns ``(executed, success, segments_done)``. Shared between the
-    whole-plan derivation below and the scenario-sweep verifier
-    (:mod:`repro.verify.core`), which rebuilds truth copy-by-copy
-    along the fault-plan enumeration tree — a copy's truth depends on
-    nothing but its own distribution, which is what makes that fork
-    legal.
-    """
-    executed: dict[AttemptId, bool] = {}
-    local_faults = 0
-    alive = True
-    done = 0
-    for segment in range(1, copy_plan.segments + 1):
-        if not alive:
-            break
-        faults_here = counts[segment - 1] if segment <= len(counts) else 0
-        for attempt in range(1, faults_here + 1):
-            executed[AttemptId(process_name, copy_index, segment,
-                               attempt)] = True
-            local_faults += 1
-            if local_faults > copy_plan.recoveries:
-                alive = False
-                break
-        if not alive:
-            break
-        executed[AttemptId(process_name, copy_index, segment,
-                           faults_here + 1)] = False
-        done = segment
-    return executed, alive and done == copy_plan.segments, done
-
-
-def _derive_ground_truth(app: Application, policies: PolicyAssignment,
-                         plan: FaultPlan) -> _GroundTruth:
+def _ground_truth(policies: PolicyAssignment, plan: FaultPlan,
+                  ) -> tuple[dict[AttemptId, bool], dict[CopyKey, bool]]:
+    """What actually happens under ``plan``: the executed attempts
+    (attempt -> failed?) and which copies complete all segments."""
     executed: dict[AttemptId, bool] = {}
     copy_success: dict[CopyKey, bool] = {}
-    segments_done: dict[CopyKey, int] = {}
     for process_name, policy in policies.items():
         for copy_index, copy_plan in enumerate(policy.copies):
-            key = (process_name, copy_index)
-            counts = plan.faults.get(key) or ()
-            copy_executed, success, done = _copy_ground_truth(
-                process_name, copy_index, copy_plan, tuple(counts))
-            executed.update(copy_executed)
-            copy_success[key] = success
-            segments_done[key] = done
-    return _GroundTruth(executed=executed, copy_success=copy_success,
-                        copy_segments_done=segments_done)
+            counts = plan.faults.get((process_name, copy_index)) or ()
+            local_faults = 0
+            alive = True
+            done = 0
+            for segment in range(1, copy_plan.segments + 1):
+                faults_here = counts[segment - 1] \
+                    if segment <= len(counts) else 0
+                for attempt in range(1, faults_here + 1):
+                    executed[AttemptId(process_name, copy_index, segment,
+                                       attempt)] = True
+                    local_faults += 1
+                    if local_faults > copy_plan.recoveries:
+                        alive = False
+                        break
+                if not alive:
+                    break
+                executed[AttemptId(process_name, copy_index, segment,
+                                   faults_here + 1)] = False
+                done = segment
+            copy_success[(process_name, copy_index)] = \
+                alive and done == copy_plan.segments
+    return executed, copy_success
 
 
 def _guard_fires(entry: TableEntry,
@@ -148,162 +118,100 @@ def simulate(
     plan: FaultPlan,
 ) -> SimulationResult:
     """Execute the schedule tables under one fault scenario."""
-    truth = _derive_ground_truth(app, policies, plan)
-    fired = [e for e in schedule.entries
-             if _guard_fires(e, truth.executed)]
-    return _finish_simulation(app, arch, mapping, policies, fault_model,
-                              plan, truth, fired)
+    executed, copy_success = _ground_truth(policies, plan)
+    fired = _replay_order([e for e in schedule.entries
+                           if _guard_fires(e, executed)])
+    errors: list[str] = []
+    if plan.total_faults > fault_model.k:
+        errors.append(
+            f"plan injects {plan.total_faults} faults, budget is "
+            f"{fault_model.k}")
 
-
-def _finish_simulation(
-    app: Application,
-    arch: Architecture,
-    mapping: CopyMapping,
-    policies: PolicyAssignment,
-    fault_model: FaultModel,
-    plan: FaultPlan,
-    truth: _GroundTruth,
-    fired: list[TableEntry],
-) -> SimulationResult:
-    """Replay the already guard-filtered entries of one scenario.
-
-    ``fired`` must hold exactly the entries whose guards the plan's
-    ground truth satisfies, **in schedule-entry order** — the scenario
-    sweep of :mod:`repro.verify.core` derives that list incrementally
-    along shared fault-plan prefixes and re-enters here, so everything
-    from the replay ordering on is one shared implementation and the
-    two paths are bit-identical by construction.
-    """
-    fired = _replay_order(fired)
-    state = _ReplayState(app, arch, mapping, policies, fault_model,
-                         plan, truth)
-    state.prime(fired)
+    # Knowledge of condition values per node: produced locally at the
+    # detection point, remotely at the broadcast arrival.
+    known_at: dict[tuple[AttemptId, str], float] = {}
     for entry in fired:
-        state.step(entry)
-    return state.finish(fired)
-
-
-class _ReplayState:
-    """The per-scenario mutable state of the table-replay checker.
-
-    One instance replays one fault scenario: :meth:`prime` derives the
-    per-node condition-knowledge times from the fired entries,
-    :meth:`step` processes one entry (in replay order), and
-    :meth:`finish` applies the completion/deadline checks.
-    """
-
-    def __init__(self, app: Application, arch: Architecture,
-                 mapping: CopyMapping, policies: PolicyAssignment,
-                 fault_model: FaultModel, plan: FaultPlan,
-                 truth: _GroundTruth) -> None:
-        self.app = app
-        self.arch = arch
-        self.mapping = mapping
-        self.policies = policies
-        self.plan = plan
-        self.truth = truth
-        self.errors: list[str] = []
-        if plan.total_faults > fault_model.k:
-            self.errors.append(
-                f"plan injects {plan.total_faults} faults, budget is "
-                f"{fault_model.k}")
-        # Knowledge of condition values per node: produced locally at
-        # the detection point, remotely at the broadcast arrival.
-        self.known_at: dict[tuple[AttemptId, str], float] = {}
-        self.node_busy: dict[str, float] = {n: 0.0 for n in arch.node_names}
-        #: (round, slot) -> entry; TDMA interleaves multi-frame
-        #: transmissions, so collisions are checked per slot occurrence,
-        #: not by busy intervals.
-        self.slot_owner: dict[tuple[int, int], TableEntry] = {}
-        #: message name -> node -> earliest time data from a
-        #: successful copy
-        self.delivered: dict[str, dict[str, float]] = {}
-        #: (copy, segment) -> finish of the successful attempt
-        self.segment_finish: dict[tuple[CopyKey, int], float] = {}
-        #: copy -> finish time of the last fired attempt (continuity)
-        self.attempt_finish: dict[AttemptId, float] = {}
-        self.completion: dict[CopyKey, float] = {}
-
-    def prime(self, fired: list[TableEntry]) -> None:
-        """Derive condition-knowledge times from the fired entries."""
-        truth = self.truth
-        known_at = self.known_at
-        for entry in fired:
-            if entry.kind is EntryKind.ATTEMPT and entry.can_fail \
-                    and entry.attempt in truth.executed:
-                key = (entry.attempt, entry.location)
+        if entry.kind is EntryKind.ATTEMPT and entry.can_fail \
+                and entry.attempt in executed:
+            key = (entry.attempt, entry.location)
+            known_at[key] = min(known_at.get(key, float("inf")),
+                                entry.end)
+    for entry in fired:
+        if entry.kind is EntryKind.BROADCAST \
+                and entry.attempt in executed:
+            for node in arch.node_names:
+                key = (entry.attempt, node)
                 known_at[key] = min(known_at.get(key, float("inf")),
                                     entry.end)
-        for entry in fired:
-            if entry.kind is EntryKind.BROADCAST \
-                    and entry.attempt in truth.executed:
-                for node in self.arch.node_names:
-                    key = (entry.attempt, node)
-                    known_at[key] = min(known_at.get(key, float("inf")),
-                                        entry.end)
 
-    def step(self, entry: TableEntry) -> None:
-        """Process one fired entry (entries must arrive in replay
-        order)."""
+    node_busy: dict[str, float] = {n: 0.0 for n in arch.node_names}
+    # (round, slot) -> entry; TDMA interleaves multi-frame
+    # transmissions, so collisions are checked per slot occurrence,
+    # not by busy intervals.
+    slot_owner: dict[tuple[int, int], TableEntry] = {}
+    # message name -> node -> earliest time data from a successful copy
+    delivered: dict[str, dict[str, float]] = {}
+    # (copy, segment) -> finish of the successful attempt
+    segment_finish: dict[tuple[CopyKey, int], float] = {}
+    # attempt -> its finish time (retry continuity)
+    attempt_finish: dict[AttemptId, float] = {}
+    completion: dict[CopyKey, float] = {}
+    for entry in fired:
         if entry.kind is EntryKind.ATTEMPT:
             # Dead copies stop executing (fail-silence): attempts
-            # beyond the death point are skipped by the local
-            # scheduler and the slot idles.
-            if entry.attempt not in self.truth.executed:
-                return
-            _check_attempt(entry, self.app, self.arch, self.mapping,
-                           self.policies, self.truth, self.known_at,
-                           self.node_busy, self.delivered,
-                           self.segment_finish, self.attempt_finish,
-                           self.completion, self.errors)
-        else:
-            # Bus activity: frame-level collision check, then effects.
-            for frame in entry.frames:
-                key = (frame.round_index, frame.slot_index)
-                other = self.slot_owner.get(key)
-                if other is not None and other is not entry:
-                    self.errors.append(
-                        f"bus collision in round {frame.round_index} "
-                        f"slot {frame.slot_index}: {entry} vs {other}")
-                self.slot_owner[key] = entry
-            if entry.kind is EntryKind.MESSAGE:
-                _deliver_message(entry, self.app, self.mapping, self.truth,
-                                 self.delivered, self.completion,
-                                 self.errors, self.arch)
-
-    def finish(self, fired: list[TableEntry]) -> SimulationResult:
-        """Completion & deadline checks; build the result."""
-        errors = self.errors
-        completed: dict[str, float] = {}
-        for process in self.app.processes:
-            finishes = [
-                self.completion[(process.name, c)]
-                for c in range(len(self.policies.of(process.name).copies))
-                if (process.name, c) in self.completion
-            ]
-            if not finishes:
-                errors.append(f"process {process.name!r} never completed "
-                              f"(plan: {self.plan.describe()})")
+            # beyond the death point are skipped by the local scheduler
+            # and the slot idles.
+            if entry.attempt not in executed:
                 continue
-            completed[process.name] = min(finishes)
-            if process.deadline is not None and \
-                    fgt(completed[process.name], process.deadline):
+            _check_attempt(entry, app, mapping, policies, executed,
+                           copy_success, known_at, node_busy, delivered,
+                           segment_finish, attempt_finish, completion,
+                           errors)
+            continue
+        # Bus activity: frame-level collision check, then effects.
+        for frame in entry.frames:
+            key = (frame.round_index, frame.slot_index)
+            other = slot_owner.get(key)
+            if other is not None and other is not entry:
                 errors.append(
-                    f"process {process.name!r} missed local deadline "
-                    f"{process.deadline} (finished "
-                    f"{completed[process.name]})")
-        makespan = max(completed.values()) if completed else float("inf")
-        if fgt(makespan, self.app.deadline):
+                    f"bus collision in round {frame.round_index} "
+                    f"slot {frame.slot_index}: {entry} vs {other}")
+            slot_owner[key] = entry
+        if entry.kind is EntryKind.MESSAGE:
+            _deliver_message(entry, app, copy_success, delivered,
+                             completion, errors, arch)
+
+    # Completion & deadline checks.
+    completed: dict[str, float] = {}
+    for process in app.processes:
+        finishes = [
+            completion[(process.name, c)]
+            for c in range(len(policies.of(process.name).copies))
+            if (process.name, c) in completion
+        ]
+        if not finishes:
+            errors.append(f"process {process.name!r} never completed "
+                          f"(plan: {plan.describe()})")
+            continue
+        completed[process.name] = min(finishes)
+        if process.deadline is not None and \
+                fgt(completed[process.name], process.deadline):
             errors.append(
-                f"global deadline {self.app.deadline} missed (makespan "
-                f"{makespan}, plan {self.plan.describe()})")
-        return SimulationResult(
-            plan=self.plan,
-            completed=completed,
-            makespan=makespan,
-            errors=errors,
-            fired_entries=tuple(fired),
-        )
+                f"process {process.name!r} missed local deadline "
+                f"{process.deadline} (finished "
+                f"{completed[process.name]})")
+    makespan = max(completed.values()) if completed else float("inf")
+    if fgt(makespan, app.deadline):
+        errors.append(
+            f"global deadline {app.deadline} missed (makespan "
+            f"{makespan}, plan {plan.describe()})")
+    return SimulationResult(
+        plan=plan,
+        completed=completed,
+        makespan=makespan,
+        errors=errors,
+        fired_entries=tuple(fired),
+    )
 
 
 def _kind_rank(entry: TableEntry) -> int:
@@ -337,9 +245,9 @@ def _replay_order(entries: list[TableEntry]) -> list[TableEntry]:
     return [item[3] for item in keyed]
 
 
-def _check_attempt(entry, app, arch, mapping, policies, truth, known_at,
-                   node_busy, delivered, segment_finish, attempt_finish,
-                   completion, errors) -> None:
+def _check_attempt(entry, app, mapping, policies, executed, copy_success,
+                   known_at, node_busy, delivered, segment_finish,
+                   attempt_finish, completion, errors) -> None:
     attempt = entry.attempt
     key = (attempt.process, attempt.copy)
     node = entry.location
@@ -394,7 +302,7 @@ def _check_attempt(entry, app, arch, mapping, policies, truth, known_at,
     attempt_finish[attempt] = entry.end
 
     # Outcome.
-    failed = truth.executed[attempt]
+    failed = executed[attempt]
     if failed and not entry.can_fail:
         errors.append(
             f"{attempt.label()} was scheduled as fault-proof (no "
@@ -403,7 +311,7 @@ def _check_attempt(entry, app, arch, mapping, policies, truth, known_at,
         segment_finish[(key, attempt.segment)] = entry.end
         plan_segments = policies.of(attempt.process).copies[
             attempt.copy].segments
-        if attempt.segment == plan_segments and truth.copy_success[key]:
+        if attempt.segment == plan_segments and copy_success[key]:
             completion[key] = entry.end
             _deliver_local(entry, app, mapping, delivered)
 
@@ -419,13 +327,13 @@ def _deliver_local(entry, app, mapping, delivered) -> None:
             slot[node] = entry.end
 
 
-def _deliver_message(entry, app, mapping, truth, delivered, completion,
+def _deliver_message(entry, app, copy_success, delivered, completion,
                      errors, arch) -> None:
     """A fired transmission delivers to every node iff its producer
     copy actually succeeded (fail-silent otherwise)."""
     message = app.message(entry.message)
     key = (message.src, entry.producer_copy)
-    if not truth.copy_success.get(key, False):
+    if not copy_success.get(key, False):
         return  # dead copy: the reserved slot stays empty
     sent_at = completion.get(key)
     if sent_at is None or fgt(sent_at, entry.start):

@@ -2,16 +2,15 @@
 
 The verification engine proper lives in :mod:`repro.verify`: a
 streaming, exactly-mergeable :class:`~repro.verify.stats.
-VerificationStats`, a scenario sweep with trace-prefix reuse
-(:class:`~repro.verify.core.ScenarioSweep`), and a sharded runner
-fanning scenario windows through the batch engine
+VerificationStats`, the scenario-window sweep over the batched
+scenario kernel (:class:`~repro.verify.core.ScenarioSweep`), and a
+sharded runner fanning scenario windows through the batch engine
 (:func:`~repro.verify.runner.run_verification`). This module keeps
 the original small-instance API — synchronous, single-process, a
 :class:`VerificationReport` with the full failing
 :class:`SimulationResult` objects — on top of that core; the results
-are bit-identical to the legacy serial loop (and to
-``REPRO_VERIFY_INCREMENTAL=0``), just no longer re-simulated from
-``t = 0`` per scenario.
+are bit-identical to the legacy serial ``simulate()`` loop (which
+``REPRO_KERNELS=0`` runs).
 
 Exhaustive enumeration is exponential; callers should consult
 :func:`repro.ftcpg.scenarios.count_fault_plans` first (the

@@ -2,18 +2,15 @@
 
 The proof side of the synthesis flow: where campaigns *sample* fault
 scenarios, this package simulates **all** of them — sharded through
-the batch engine, with trace-prefix reuse along the shared fault-plan
-enumeration tree — and certifies the paper's central claim that the
-tables tolerate any ``k`` transient faults under the chosen
-transparency contract. :mod:`repro.runtime.verify` remains as a thin
-serial shim over this package.
+the batch engine in contiguous windows of the fault-plan enumeration,
+each replayed by the batched scenario kernel — and certifies the
+paper's central claim that the tables tolerate any ``k`` transient
+faults under the chosen transparency contract.
+:mod:`repro.runtime.verify` remains as a thin serial shim over this
+package.
 """
 
-from repro.verify.core import (
-    ScenarioSweep,
-    chunk_bounds,
-    incremental_default,
-)
+from repro.verify.core import ScenarioSweep, chunk_bounds
 from repro.verify.runner import (
     DEFAULT_MAX_SCENARIOS,
     VerifyConfig,
@@ -39,7 +36,6 @@ __all__ = [
     "VerifyConfig",
     "VerifyReport",
     "chunk_bounds",
-    "incremental_default",
     "load_verify_workload",
     "merge_verify_cells",
     "run_verification",

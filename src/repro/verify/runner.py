@@ -12,7 +12,8 @@ schedule tables promise.
 Execution model — the same discipline as :mod:`repro.campaigns`: the
 scenario order is split into ``chunks`` **contiguous** windows
 (:func:`repro.verify.core.chunk_bounds`; contiguous, not strided,
-because the sweep's prefix-reuse fork feeds on scenario adjacency).
+because a contiguous window lets the enumeration skip every subtree
+outside it).
 Each chunk is one pure :class:`~repro.engine.jobs.BatchJob` through
 the :class:`~repro.engine.runner.BatchEngine` — process-pool
 parallelism, resumable JSONL checkpoints, deterministic fold order.
@@ -22,7 +23,8 @@ window, and returns streaming
 chunk stats in job-submission order, which makes serial and parallel
 verification reports byte-identical — and, because the sweep is
 bit-identical to one-shot simulation, identical to a run with
-``REPRO_VERIFY_INCREMENTAL=0`` as well.
+``REPRO_KERNELS=0`` as well, up to the report's ``kernels.enabled``
+flag.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from repro.engine.runner import (
 )
 from repro.errors import ToleranceViolationError
 from repro.eval.core import EvaluatorPool
-from repro.ftcpg.scenarios import count_fault_plans, iter_fault_plans
-from repro.kernels import kernels_enabled, kernels_info
+from repro.ftcpg.scenarios import count_fault_plans
+from repro.kernels import kernels_info
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -65,9 +67,9 @@ from repro.workloads.presets import brake_by_wire, fig5_example
 CHUNK_RUNNER = "repro.verify.runner:run_verify_chunk"
 
 #: Default ceiling on exhaustively simulated scenarios. Far above the
-#: legacy serial verifier's 100k — sharding and prefix reuse are what
-#: make Fig. 7/8-scale scenario sets tractable — but still a guard
-#: against accidentally exponential instances.
+#: legacy serial verifier's 100k — sharding and the batched kernel are
+#: what make Fig. 7/8-scale scenario sets tractable — but still a
+#: guard against accidentally exponential instances.
 DEFAULT_MAX_SCENARIOS = 2_000_000
 
 
@@ -98,7 +100,7 @@ class VerifyConfig:
     #: fault plans are extended with the axes below and executed
     #: one-shot through the event-driven simulator in the parent —
     #: they are beyond the table-expressible enumeration, so the
-    #: sharded prefix-reuse sweep cannot carry them.
+    #: sharded sweep cannot carry them.
     des_scenarios: int = 0
     intermittent: int = 1
     slot_faults: int = 1
@@ -179,9 +181,9 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     Pure function of its params (the engine's worker contract): the
     design and the scenario order derive from the seed alone, so every
     chunk reproduces the identical instance and only its contiguous
-    window differs. Whether the sweep runs forked or forced-full
-    (``REPRO_VERIFY_INCREMENTAL=0``) never shows in the result — the
-    two paths are bit-identical and the flag stays out of the payload.
+    window differs. Whether the sweep runs the batched kernel or the
+    oracle (``REPRO_KERNELS=0``) never shows in the result — the two
+    paths are bit-identical and the flag stays out of the payload.
     """
     app, arch, transparency = load_verify_workload(params["workload"])
     k = int(params["k"])
@@ -214,27 +216,11 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     bound = estimate_bound(app, arch, certified, k)
     start, stop = chunk_bounds(total, int(params["chunk"]),
                                int(params["chunks"]))
+    sweep = ScenarioSweep(app, arch, result.mapping, result.policies,
+                          fault_model, schedule)
     stats = VerificationStats()
-    if kernels_enabled():
-        # The batched kernel walks the identical enumeration order the
-        # sweep emits (iter_fault_plans), so the observed stream — and
-        # thus every merged cell — is bit-identical to the oracle path
-        # below (REPRO_KERNELS=0 forces it).
-        from itertools import islice
-
-        from repro.kernels.batch import BatchedSimulator
-        batched = BatchedSimulator(app, arch, result.mapping,
-                                   result.policies, fault_model,
-                                   schedule)
-        window = islice(iter_fault_plans(app, result.policies, k),
-                        start, stop)
-        for outcome in batched.results(window):
-            stats.observe(outcome, transparency)
-    else:
-        sweep = ScenarioSweep(app, arch, result.mapping,
-                              result.policies, fault_model, schedule)
-        for outcome in sweep.results(start, stop):
-            stats.observe(outcome, transparency)
+    for outcome in sweep.results(start, stop):
+        stats.observe(outcome, transparency)
 
     cache_stats = pool.stats()
     return {
@@ -448,7 +434,7 @@ def merge_verify_cells(config: VerifyConfig, cells: list[dict],
 def run_des_scenarios(config: VerifyConfig) -> dict:
     """Execute the config's DES-only scenarios one-shot (parent-side).
 
-    The sharded sweep walks the table-expressible enumeration tree;
+    The sharded sweep covers the table-expressible enumeration;
     intermittent windows, corrupted slots and jitter live outside it,
     so these scenarios are sampled (seed-derived, deterministic),
     extended with the configured axes, and run straight through

@@ -3,9 +3,9 @@
 For the paper's Fig. 5 example and the brake-by-wire case study, the
 full fired-entry trace of two pinned scenarios — fault-free and one
 deterministic max-fault plan — is diffed against a committed text
-artifact. Simulator refactors (including the scenario sweep's
-prefix-reuse fork) must reproduce these traces byte for byte; a
-legitimate behavior change regenerates them with
+artifact. Simulator refactors (including the batched scenario
+kernel behind the scenario sweep) must reproduce these traces byte
+for byte; a legitimate behavior change regenerates them with
 
     REPRO_UPDATE_GOLDEN=1 pytest tests/test_golden_traces.py
 
@@ -13,7 +13,7 @@ and the diff lands in review like any other code change.
 
 The same pinned scenarios are also cross-checked between the one-shot
 ``simulate()`` path and the :class:`~repro.verify.core.ScenarioSweep`
-fork, so the golden files guard both implementations at once.
+façade, so the golden files guard both implementations at once.
 
 PR 8 adds golden **event traces** for the DES-only fault axes
 (intermittent windows, corrupted TDMA slots, release jitter): those
@@ -149,10 +149,10 @@ class TestGoldenTraces:
         _check_golden(f"{name}_max_fault", _render_trace(result))
 
     def test_sweep_reproduces_pinned_traces(self, design):
-        """The prefix-reuse fork renders the same golden traces."""
+        """The scenario sweep renders the same golden traces."""
         name, (app, arch, mapping, policies, fm, schedule) = design
         sweep = ScenarioSweep(app, arch, mapping, policies, fm,
-                              schedule, incremental=True)
+                              schedule)
         plans = list(iter_fault_plans(app, policies, fm.k))
         wanted = {0: f"{name}_fault_free"}
         wanted[plans.index(_max_fault_plan(app, policies, fm.k))] = \

@@ -7,7 +7,9 @@ the compute-kernel == compute-oracle == ``reevaluate`` triangle).
 This file pins everything *around* those legs:
 
 * the ``REPRO_KERNELS`` escape hatch parsing and CLI threading;
-* the batched kernel's oracle fallback (counted, bit-identical);
+* the batched kernel's oracle fallback (counted, bit-identical) and
+  its fault-signature index (zero-count plan keys patch nothing);
+* the exhaustive paths' standard-library-only footprint (no numpy);
 * report ``kernels`` telemetry: kernels-on and kernels-off payloads
   differ in exactly the ``enabled`` flag;
 * the cache seam: :class:`~repro.eval.diskcache.DiskCache` keys and
@@ -18,6 +20,11 @@ This file pins everything *around* those legs:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +116,79 @@ class TestBatchedFallback:
         assert outcome == simulate(
             app, arch, mapping, policies, fm, schedule,
             FaultPlan({(name, 0): (1,)}))
+
+    def test_zero_count_key_patches_nothing(self, monkeypatch):
+        """An explicit all-zero distribution is the fault-free state:
+        the result equals the oracle's and the plan evaluates the same
+        signature subsets as the plan without that key."""
+        app, arch, mapping, policies, fm, schedule = _small_design()
+        batched = BatchedSimulator(app, arch, mapping, policies, fm,
+                                   schedule)
+        first, second = sorted(app.process_names)[:2]
+        patched_sets: list[list[int]] = []
+        fired_ids = BatchedSimulator._fired_ids
+
+        def spy(self, state, patched):
+            patched_sets.append(list(patched))
+            return fired_ids(self, state, patched)
+
+        monkeypatch.setattr(BatchedSimulator, "_fired_ids", spy)
+        plans = [FaultPlan({(first, 0): (1,)}),
+                 FaultPlan({(first, 0): (1,), (second, 0): (0,)}),
+                 FaultPlan({}),
+                 FaultPlan({(second, 0): (0,)})]
+        counters.reset()
+        for plan in plans:
+            assert batched.simulate_plan(plan) == simulate(
+                app, arch, mapping, policies, fm, schedule, plan)
+        assert counters.batched_scenarios == len(plans)
+        assert patched_sets[0] == patched_sets[1] != []
+        assert patched_sets[2] == patched_sets[3] == []
+
+
+#: Runs one ``repro verify`` chunk and one ``dse --verify-frontier``
+#: certification, then reports whether numpy got imported.
+_NO_NUMPY_SCRIPT = textwrap.dedent("""
+    import sys
+
+    from repro.dse import DseConfig, SpaceConfig, run_dse
+    from repro.engine import EngineConfig
+    from repro.synthesis.tabu import TabuSettings
+    from repro.verify import VerifyConfig, run_verify_chunk, verify_jobs
+
+    settings = TabuSettings(iterations=2, neighborhood=4,
+                            bus_contention=False)
+    config = VerifyConfig(workload={"processes": 5, "nodes": 2,
+                                    "seed": 1},
+                          k=2, chunks=2, settings=settings)
+    cell = run_verify_chunk(verify_jobs(config)[1].params_dict())
+    assert cell["stats"]["scenarios"] > 0
+    report = run_dse(DseConfig(
+        workload={"processes": 3, "nodes": 2, "seed": 1},
+        space=SpaceConfig(k_values=(2,), strategies=("MX",),
+                          checkpoint_counts=(0, 1),
+                          transparency_samples=0),
+        chunks=1, settings=settings, verify_frontier=True),
+        engine_config=EngineConfig(workers=1))
+    assert any(point.extras.get("verified_scenarios")
+               for point in report.frontier)
+    print("numpy" in sys.modules)
+""")
+
+
+class TestStandardLibraryOnly:
+    def test_exhaustive_paths_leave_numpy_unimported(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH"))))
+        env[KERNELS_ENV] = "1"
+        done = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 def _normalized(payload: dict) -> dict:

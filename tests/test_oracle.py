@@ -26,8 +26,9 @@ A fourth leg holds the **array-compiled kernels**
 (:mod:`repro.kernels`) against ``REPRO_KERNELS=0``. Every design the
 grid visits asserts full :class:`~repro.schedule.estimation.FtEstimate`
 equality kernel-on vs oracle (both slack-sharing modes) and full
-``SimulationResult`` equality of the batched scenario kernel against
-every swept scenario; a hypothesis property walks random
+``SimulationResult`` equality of every swept scenario (the batched
+scenario kernel behind :class:`~repro.verify.core.ScenarioSweep`)
+against a one-shot ``simulate()``; a hypothesis property walks random
 ``RemapMove``/``PolicyMove`` sequences and closes the three-way
 identity compute-kernel == compute-oracle == incremental
 ``reevaluate`` at every step.
@@ -49,9 +50,9 @@ from hypothesis import strategies as st
 from repro.campaigns.stats import estimate_bound
 from repro.eval.core import EvaluatorPool
 from repro.kernels import KERNELS_ENV
-from repro.kernels.batch import BatchedSimulator
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
+from repro.runtime.simulator import simulate
 from repro.schedule.estimation import EstimatorState, estimate_ft_schedule
 from repro.synthesis import initial_mapping, synthesize
 from repro.synthesis.moves import PolicyMove, RemapMove
@@ -101,16 +102,17 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
                                         max_contexts=200_000)
     sweep = ScenarioSweep(app, arch, design.mapping, design.policies,
                           fault_model, schedule)
-    batched = BatchedSimulator(app, arch, design.mapping,
-                               design.policies, fault_model, schedule)
     stats = VerificationStats()
     for result in sweep.results():
         stats.observe(result)
-        # Kernel vs simulator: the batched scenario kernel reproduces
-        # the replayed result bit for bit as well.
-        assert batched.simulate_plan(result.plan) == result, (
-            f"{app.name}/{strategy}/k={k}: batched kernel diverged "
-            f"on {result.plan.describe()}")
+        # Kernel vs simulator: the sweep (the batched scenario kernel
+        # unless REPRO_KERNELS=0) reproduces the one-shot replay bit
+        # for bit.
+        assert result == simulate(
+            app, arch, design.mapping, design.policies, fault_model,
+            schedule, result.plan), (
+            f"{app.name}/{strategy}/k={k}: swept result diverged "
+            f"from simulate() on {result.plan.describe()}")
 
     label = f"{app.name}/{strategy}/k={k}"
     pure = all(len(policy.copies) == 1

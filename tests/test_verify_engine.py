@@ -3,15 +3,16 @@
 Three layers:
 
 * the **scenario sweep** — plan order identical to
-  :func:`repro.ftcpg.scenarios.iter_fault_plans`, every yielded
-  result bit-identical to a one-shot ``simulate()``, contiguous
-  windows partitioning the order exactly;
+  :func:`repro.ftcpg.scenarios.iter_fault_plans` (every enumeration
+  window included), every yielded result bit-identical to a one-shot
+  ``simulate()``, kernel output equal to ``REPRO_KERNELS=0`` output,
+  contiguous windows partitioning the order exactly;
 * the **stats** — merging chunk aggregates in any grouping equals the
   single-stream fold, JSON round-trips, and the frozen-start records
   decide violations on exact spreads (the ``round(·, 6)`` boundary
   regression);
-* the **runner** — serial, parallel and ``REPRO_VERIFY_INCREMENTAL=0``
-  reports byte-identical, checkpoints resume, purity tripwires fire.
+* the **runner** — serial and parallel reports byte-identical,
+  checkpoints resume, purity tripwires fire.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.ftcpg.scenarios import (
     iter_fault_plans,
     plan_enumeration,
 )
+from repro.kernels import KERNELS_ENV
 from repro.model import (
     Application,
     Architecture,
@@ -86,7 +88,13 @@ class TestScenarioSweep:
         (ProcessPolicy.re_execution(2), 2),
         (ProcessPolicy.checkpointing(2, 2), 2),
         (ProcessPolicy.replication(1), 1),
-    ], ids=["reexec", "checkpointing", "replication"])
+        # Deeper budgets and mixed copies: guards whose literals
+        # disagree with the fault-free state on several copies at once
+        # (multi-copy fault signatures).
+        (ProcessPolicy.checkpointing(3, 2), 3),
+        (ProcessPolicy.replication_and_checkpointing(2, 1), 2),
+    ], ids=["reexec", "checkpointing", "replication",
+            "checkpointing-k3", "replication-checkpointing"])
     def test_bit_identical_to_simulate(self, pipeline_setup, policy,
                                        k):
         app, arch = pipeline_setup
@@ -98,7 +106,7 @@ class TestScenarioSweep:
              for copy in range(len(p.copies))})
         fm, schedule = _design(app, arch, policies, mapping, k)
         sweep = ScenarioSweep(app, arch, mapping, policies, fm,
-                              schedule, incremental=True)
+                              schedule)
         plans = list(iter_fault_plans(app, policies, k))
         results = list(sweep.results())
         assert sweep.total == len(plans) == count_fault_plans(
@@ -121,7 +129,7 @@ class TestScenarioSweep:
             {"A": "N1", "B": "N1", "C": "N2"}, policies)
         fm, schedule = _design(app, arch, policies, mapping, 2)
         sweep = ScenarioSweep(app, arch, mapping, policies, fm,
-                              schedule, incremental=True)
+                              schedule)
         whole = [(r.plan.faults, r.makespan) for r in sweep.results()]
         for chunks in (1, 2, 4, 7):
             windows = [chunk_bounds(sweep.total, c, chunks)
@@ -141,6 +149,23 @@ class TestScenarioSweep:
         with pytest.raises(ValueError, match="chunk"):
             chunk_bounds(10, 2, 2)
 
+    def test_enumeration_windows_match_full_order(self,
+                                                  pipeline_setup):
+        app, arch = pipeline_setup
+        policies = PolicyAssignment.uniform(
+            app, ProcessPolicy.checkpointing(2, 2))
+        enum = plan_enumeration(app, policies, 2)
+        full = list(iter_fault_plans(app, policies, 2))
+        assert list(enum.plans()) == full
+        for start in range(len(full) + 1):
+            for stop in range(start, len(full) + 2):
+                assert list(enum.plans(start, stop)) \
+                    == full[start:stop], (start, stop)
+        assert list(enum.plans(-3, 2)) == full[:2]
+        assert list(iter_fault_plans(app, policies, 2,
+                                     include_fault_free=False)) \
+            == full[1:]
+
     def test_subtree_leaves_totals(self, pipeline_setup):
         app, arch = pipeline_setup
         policies = PolicyAssignment.uniform(
@@ -154,23 +179,23 @@ class TestScenarioSweep:
 
     def test_forced_full_oracle_matches(self, pipeline_setup,
                                         monkeypatch):
+        """Kernel output through the façade equals its
+        ``REPRO_KERNELS=0`` output, window by window."""
         app, arch = pipeline_setup
         policies = PolicyAssignment.uniform(
             app, ProcessPolicy.re_execution(1))
         mapping = CopyMapping.from_process_map(
             {"A": "N1", "B": "N1", "C": "N2"}, policies)
         fm, schedule = _design(app, arch, policies, mapping, 1)
-        incremental = ScenarioSweep(app, arch, mapping, policies, fm,
-                                    schedule, incremental=True)
-        monkeypatch.setenv("REPRO_VERIFY_INCREMENTAL", "0")
-        forced = ScenarioSweep(app, arch, mapping, policies, fm,
-                               schedule)
-        assert not forced.incremental
-        got = [(r.plan.faults, r.makespan, tuple(r.errors))
-               for r in incremental.results()]
-        want = [(r.plan.faults, r.makespan, tuple(r.errors))
-                for r in forced.results()]
+        sweep = ScenarioSweep(app, arch, mapping, policies, fm,
+                              schedule)
+        windows = [(0, None), (1, 3), (2, sweep.total)]
+        monkeypatch.setenv(KERNELS_ENV, "1")
+        got = [list(sweep.results(lo, hi)) for lo, hi in windows]
+        monkeypatch.setenv(KERNELS_ENV, "0")
+        want = [list(sweep.results(lo, hi)) for lo, hi in windows]
         assert got == want
+        assert len(got[0]) == sweep.total
 
 
 class TestVerificationStats:
@@ -275,18 +300,13 @@ class TestVerifyRunner:
         assert [job.params_dict()["chunk"] for job in jobs] \
             == [0, 1, 2]
 
-    def test_serial_parallel_forced_full_byte_identical(
-            self, monkeypatch):
+    def test_serial_parallel_byte_identical(self):
         config = VerifyConfig(**QUICK)
         serial = run_verification(
             config, engine_config=EngineConfig(workers=1))
         parallel = run_verification(
             config, engine_config=EngineConfig(workers=2))
         assert serial.to_json() == parallel.to_json()
-        monkeypatch.setenv("REPRO_VERIFY_INCREMENTAL", "0")
-        forced = run_verification(
-            config, engine_config=EngineConfig(workers=1))
-        assert forced.to_json() == serial.to_json()
         assert serial.ok
         assert serial.stats.scenarios == serial.scenarios_total
         serial.raise_on_failure()
