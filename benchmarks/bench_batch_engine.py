@@ -77,7 +77,7 @@ def test_batch_engine_parallel_speedup(benchmark):
 
 def test_estimation_cache_hit_rate(benchmark):
     """Cache effectiveness of one synthesis cell, serial."""
-    from repro.engine.cache import EstimationCache
+    from repro.eval import EvaluatorPool
     from repro.model import FaultModel
     from repro.synthesis import nft_baseline, synthesize
     from repro.workloads.generator import (
@@ -90,11 +90,11 @@ def test_estimation_cache_hit_rate(benchmark):
     settings = CONFIG.settings
 
     def run_cell():
-        cache = EstimationCache()
-        baseline = nft_baseline(app, arch, settings, cache=cache)
+        pool = EvaluatorPool()
+        baseline = nft_baseline(app, arch, settings, cache=pool)
         synthesize(app, arch, FaultModel(k=k), "MXR",
-                   settings=settings, baseline=baseline, cache=cache)
-        return cache.stats()
+                   settings=settings, baseline=baseline, cache=pool)
+        return pool.stats().estimates
 
     stats = benchmark.pedantic(run_cell, rounds=1, iterations=1)
     benchmark.extra_info["hits"] = stats.hits

@@ -23,9 +23,12 @@ full candidate list from the config, synthesizes each (strategy, k)
 design once behind one shared :class:`~repro.eval.EvaluatorPool`
 (whose deeper tiers also dedupe exact schedules and design metrics
 across candidates that collapse to the same design), and streams
-its slice into a local raw-Pareto archive. The parent merges chunk
-archives with :meth:`ParetoArchive.merged` — a set function, so the
-frontier is byte-identical across worker counts *and* chunk layouts.
+its slice into a local raw-Pareto archive. With ``verify_frontier``
+the chunk then certifies every archived design against the tables
+its pool already holds (:func:`certify_frontier`). The parent merges
+chunk archives with :meth:`ParetoArchive.merged` — a set function, so
+the frontier is byte-identical across worker counts *and* chunk
+layouts — and attaches the certificates to the frontier points.
 """
 
 from __future__ import annotations
@@ -33,19 +36,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.campaigns.runner import load_campaign_workload
 from repro.campaigns.sampling import chunk_slice
 from repro.dse.archive import DesignPoint, ParetoArchive
-from repro.dse.space import (
-    Candidate,
-    SpaceConfig,
-    TransparencySpec,
-    enumerate_candidates,
-)
+from repro.dse.space import Candidate, SpaceConfig, enumerate_candidates
 from repro.engine import journal
-from repro.engine.cache import Evaluator, EvaluatorPool
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
 from repro.engine.runner import (
@@ -54,6 +51,8 @@ from repro.engine.runner import (
     ProgressCallback,
 )
 from repro.errors import ReproError
+from repro.eval import Evaluator, EvaluatorPool
+from repro.ftcpg.scenarios import count_fault_plans
 from repro.kernels import kernels_info
 from repro.model.application import Application
 from repro.model.architecture import Architecture
@@ -65,6 +64,7 @@ from repro.synthesis.strategies import StrategyResult, synthesize
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
 from repro.utils.textgrid import TextGrid
+from repro.verify import ScenarioSweep, VerificationStats
 
 #: Import-path runner reference resolved by engine workers.
 CHUNK_RUNNER = "repro.dse.explorer:run_dse_chunk"
@@ -135,20 +135,27 @@ class DseConfig:
 
 
 def dse_jobs(config: DseConfig) -> list[BatchJob]:
-    """One engine job per candidate chunk."""
+    """One engine job per candidate chunk.
+
+    Only certifying runs put ``verify_max_scenarios`` in the params,
+    so their chunks never resume from a journal without certificates.
+    """
+    common: dict[str, object] = {
+        "workload": dict(config.workload),
+        "space": config.space.to_jsonable(),
+        "epsilons": list(config.epsilons),
+        "chunks": config.chunks,
+        "seed": config.seed,
+        "settings": asdict(config.settings),
+        "max_contexts": config.max_contexts,
+    }
+    if config.verify_frontier:
+        common["verify_max_scenarios"] = config.verify_max_scenarios
     return grid_jobs(
         CHUNK_RUNNER,
         {"chunk": tuple(range(config.chunks))},
         prefix=f"dse/{config.label}",
-        common={
-            "workload": dict(config.workload),
-            "space": config.space.to_jsonable(),
-            "epsilons": list(config.epsilons),
-            "chunks": config.chunks,
-            "seed": config.seed,
-            "settings": asdict(config.settings),
-            "max_contexts": config.max_contexts,
-        },
+        common=common,
     )
 
 
@@ -187,12 +194,11 @@ def apply_checkpoint_counts(
 
 def evaluate_candidate(
     app: Application,
-    arch: Architecture,
     candidate: Candidate,
     design: StrategyResult,
     *,
     max_contexts: int,
-    evaluator: Evaluator | None = None,
+    evaluator: Evaluator,
 ) -> DesignPoint:
     """Evaluate one candidate exactly and package it as an archive point.
 
@@ -209,10 +215,6 @@ def evaluate_candidate(
         app, design.policies, design.mapping, candidate.checkpoints)
     transparency = candidate.transparency.build()
     transparency.validate(app)
-    if evaluator is None:
-        pool = EvaluatorPool()
-        evaluator = pool.evaluator_for(app, arch,
-                                       FaultModel(k=candidate.k))
     evaluation = evaluator.evaluate_design(
         policies, mapping, transparency, max_contexts=max_contexts)
     schedule = evaluation.schedule
@@ -260,6 +262,10 @@ def run_dse_chunk(params: Mapping[str, object]) -> dict:
     discard as exact duplicates anyway (the first count has the lowest
     index in the row-major enumeration), so the frontier is unchanged
     — the expensive exact scheduling is just not repeated.
+
+    With ``verify_max_scenarios`` in the params the payload also
+    carries :func:`certify_frontier`'s rows for the final archive; the
+    cache counters are read before, so certifying does not move them.
     """
     app, arch = load_campaign_workload(params["workload"])
     space = SpaceConfig.from_jsonable(params["space"])
@@ -302,7 +308,7 @@ def run_dse_chunk(params: Mapping[str, object]) -> dict:
             continue
         try:
             point = evaluate_candidate(
-                app, arch, candidate, design,
+                app, candidate, design,
                 max_contexts=max_contexts,
                 evaluator=pool.evaluator_for(
                     app, arch, FaultModel(k=candidate.k)))
@@ -317,7 +323,7 @@ def run_dse_chunk(params: Mapping[str, object]) -> dict:
         archive.insert(point)
 
     stats = pool.stats()
-    return {
+    payload = {
         "chunk": int(params["chunk"]),
         "candidates_total": len(candidates),
         "evaluated": evaluated,
@@ -334,6 +340,55 @@ def run_dse_chunk(params: Mapping[str, object]) -> dict:
         "nodes": len(arch.node_names),
         "deadline": app.deadline,
     }
+    max_scenarios = params.get("verify_max_scenarios")
+    if max_scenarios is not None:
+        payload["certificates"] = certify_frontier(
+            app, arch, [candidates[p.index] for p in archive.points()],
+            designs, pool, max_contexts=max_contexts,
+            max_scenarios=int(max_scenarios))
+    return payload
+
+
+def certify_frontier(
+    app: Application,
+    arch: Architecture,
+    candidates: Iterable[Candidate],
+    designs: Mapping[tuple[str, int], StrategyResult],
+    pool: EvaluatorPool,
+    *,
+    max_contexts: int,
+    max_scenarios: int,
+) -> list[list]:
+    """Exhaustively verify evaluated candidates (``--verify-frontier``).
+
+    Runs in the chunk that evaluated ``candidates``, with its
+    ``designs`` and the tables its ``pool`` holds (an evicted table is
+    rebuilt), sweeping every fault scenario through
+    :class:`~repro.verify.core.ScenarioSweep`. Returns one
+    ``[index, certified, verified_scenarios]`` row per candidate;
+    ``certified`` is None, and no table is looked up, when the
+    scenario count exceeds ``max_scenarios``.
+    """
+    rows: list[list] = []
+    for candidate in candidates:
+        design = designs[(candidate.strategy, candidate.k)]
+        policies, mapping = apply_checkpoint_counts(
+            app, design.policies, design.mapping, candidate.checkpoints)
+        if count_fault_plans(app, policies, candidate.k) > max_scenarios:
+            rows.append([candidate.index, None, 0])
+            continue
+        fault_model = FaultModel(k=candidate.k)
+        transparency = candidate.transparency.build()
+        evaluator = pool.evaluator_for(app, arch, fault_model)
+        schedule = evaluator.exact_schedule(
+            policies, mapping, transparency, max_contexts=max_contexts)
+        sweep = ScenarioSweep(app, arch, mapping, policies,
+                              fault_model, schedule)
+        stats = VerificationStats()
+        for outcome in sweep.results():
+            stats.observe(outcome, transparency)
+        rows.append([candidate.index, stats.ok, stats.scenarios])
+    return rows
 
 
 #: Scalars every chunk of one exploration must agree on; a mismatch
@@ -517,13 +572,41 @@ class DseReport:
         return lines
 
 
+def _attach_certificates(frontier: Sequence[DesignPoint],
+                         cells: list[dict]) -> None:
+    """Flag each frontier point from its chunk's certificate row.
+
+    The frontier is a subset of the union of chunk archives (see
+    :mod:`repro.dse.archive`) and stride slices give every candidate
+    to one chunk, so a missing or duplicate row breaks purity.
+    """
+    rows: dict[int, list] = {}
+    for cell in cells:
+        for row in cell.get("certificates", ()):
+            index = int(row[0])
+            if index in rows:
+                raise RuntimeError(
+                    f"dse chunks both certify candidate {index} — a "
+                    "chunk runner is not a pure function of the config")
+            rows[index] = row
+    for point in frontier:
+        row = rows.get(point.index)
+        if row is None:
+            raise RuntimeError(
+                f"no chunk certifies frontier candidate {point.index} "
+                "— a chunk runner is not a pure function of the config")
+        point.extras["certified"] = row[1]
+        point.extras["verified_scenarios"] = row[2]
+
+
 def merge_dse_cells(config: DseConfig, cells: list[dict],
                     executed: int = 0, resumed: int = 0) -> DseReport:
     """Fold chunk results into one report (exposed for sweeps).
 
     Verifies the chunks agree on every shared scalar, then merges the
     chunk archives as a set function — the result is independent of
-    chunk layout and worker count.
+    chunk layout and worker count. With ``config.verify_frontier`` the
+    chunks' certificates are attached to the frontier points.
     """
     first = cells[0]
     for cell in cells[1:]:
@@ -537,6 +620,8 @@ def merge_dse_cells(config: DseConfig, cells: list[dict],
         config.epsilons,
         ([DesignPoint.from_jsonable(p) for p in cell["archive"]["points"]]
          for cell in cells))
+    if config.verify_frontier:
+        _attach_certificates(archive.frontier(), cells)
     skipped = sorted(
         (s for cell in cells for s in cell["skipped"]),
         key=lambda s: s["index"])
@@ -561,79 +646,12 @@ def merge_dse_cells(config: DseConfig, cells: list[dict],
     )
 
 
-def certify_frontier(config: DseConfig, report: DseReport) -> None:
-    """Exhaustively verify every frontier design (``--verify-frontier``).
-
-    Re-derives each frontier candidate's design exactly as the chunk
-    runners did (same tabu seed derivation, same checkpoint-count
-    transform, same transparency vector), sweeps **all** its fault
-    scenarios through :class:`~repro.verify.core.ScenarioSweep` and
-    annotates the point in place:
-
-    * ``extras["certified"]`` — True/False, or None when the
-      scenario count exceeds ``config.verify_max_scenarios`` (the
-      design stays on the frontier, explicitly un-certified);
-    * ``extras["verified_scenarios"]`` — scenarios simulated.
-
-    Frontier points are shared with the archive, so the flags appear
-    in both the ``frontier`` and ``archive`` report sections.
-    """
-    from repro.ftcpg.scenarios import count_fault_plans
-    from repro.verify.core import ScenarioSweep
-    from repro.verify.stats import VerificationStats
-
-    app, arch = load_campaign_workload(config.workload)
-    settings = replace(config.settings, seed=derive_seed(
-        config.seed, "dse-tabu", config.settings.seed))
-    pool = EvaluatorPool()
-    designs: dict[tuple[str, int], StrategyResult] = {}
-    for point in report.frontier:
-        candidate = point.candidate
-        strategy = str(candidate["strategy"])
-        k = int(candidate["k"])
-        key = (strategy, k)
-        if key not in designs:
-            designs[key] = synthesize(
-                app, arch, FaultModel(k=k), strategy,
-                settings=settings, cache=pool)
-        design = designs[key]
-        policies, mapping = apply_checkpoint_counts(
-            app, design.policies, design.mapping,
-            int(candidate["checkpoints"]))
-        transparency = TransparencySpec.from_jsonable(
-            candidate["transparency"]).build()
-        total = count_fault_plans(app, policies, k)
-        if total > config.verify_max_scenarios:
-            point.extras["certified"] = None
-            point.extras["verified_scenarios"] = 0
-            continue
-        fault_model = FaultModel(k=k)
-        evaluator = pool.evaluator_for(app, arch, fault_model)
-        schedule = evaluator.exact_schedule(
-            policies, mapping, transparency,
-            max_contexts=config.max_contexts)
-        sweep = ScenarioSweep(app, arch, mapping, policies,
-                              fault_model, schedule)
-        stats = VerificationStats()
-        for outcome in sweep.results():
-            stats.observe(outcome, transparency)
-        point.extras["certified"] = stats.ok
-        point.extras["verified_scenarios"] = stats.scenarios
-
-
 def run_dse(config: DseConfig, *,
             engine_config: EngineConfig | None = None,
             progress: ProgressCallback | None = None) -> DseReport:
-    """Run (or resume) one exploration through the batch engine.
-
-    With ``config.verify_frontier`` the merged frontier additionally
-    passes through :func:`certify_frontier`.
-    """
+    """Run (or resume) one exploration through the batch engine."""
     engine = BatchEngine(engine_config or EngineConfig())
     batch = engine.run(dse_jobs(config), progress=progress)
-    report = merge_dse_cells(config, batch.results(),
-                             executed=batch.executed,
-                             resumed=batch.resumed)
-    if config.verify_frontier:
-        certify_frontier(config, report)
-    return report
+    return merge_dse_cells(config, batch.results(),
+                           executed=batch.executed,
+                           resumed=batch.resumed)

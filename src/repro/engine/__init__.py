@@ -1,4 +1,4 @@
-"""Batch experiment engine: parallel sweeps with estimation caching.
+"""Batch experiment engine: parallel, resumable sweeps of pure jobs.
 
 The paper's evaluation figures are sweeps over grids of synthetic
 applications; this package turns such sweeps into first-class batch
@@ -18,13 +18,11 @@ runs:
   :mod:`repro.engine.workdir`); all three produce byte-identical
   reports;
 * :mod:`repro.engine.journal` — torn-tail-safe JSONL journals shared
-  by the checkpoint file and the workdir result files;
-* :mod:`repro.engine.cache` — the evaluation caches: every sweep cell
-  shares one :class:`~repro.eval.EvaluatorPool` (the unified
-  evaluation core of :mod:`repro.eval`) memoizing the slack-sharing
-  schedule estimate behind a canonical solution fingerprint — the
-  dominant cost inside every cell — plus exact schedules and design
-  metrics in deeper tiers.
+  by the checkpoint file and the workdir result files.
+
+The engine knows nothing about evaluation: sweep cells share one
+:class:`~repro.eval.EvaluatorPool` each, from the evaluation layer
+(:mod:`repro.eval`).
 
 The Fig. 7 / Fig. 8 harnesses of :mod:`repro.experiments` route
 through this engine (``repro batch`` on the command line).
@@ -37,14 +35,6 @@ from repro.engine.backends import (
     SerialBackend,
     WorkdirBackend,
     create_backend,
-)
-from repro.engine.cache import (
-    CacheStats,
-    EstimationCache,
-    Evaluator,
-    EvaluatorPool,
-    EvaluatorStats,
-    solution_fingerprint,
 )
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob, resolve_runner, run_job
@@ -62,12 +52,7 @@ __all__ = [
     "BatchEngine",
     "BatchJob",
     "BatchReport",
-    "CacheStats",
     "EngineConfig",
-    "EstimationCache",
-    "Evaluator",
-    "EvaluatorPool",
-    "EvaluatorStats",
     "ExecutorBackend",
     "JobOutcome",
     "ProcessBackend",
@@ -80,6 +65,5 @@ __all__ = [
     "resolve_runner",
     "run_batch",
     "run_job",
-    "solution_fingerprint",
     "work",
 ]

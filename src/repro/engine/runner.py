@@ -35,7 +35,7 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from repro.engine import journal
-from repro.engine.backends import BACKENDS, create_backend, execute_job
+from repro.engine.backends import BACKENDS, create_backend
 from repro.engine.jobs import BatchJob
 from repro.engine.workdir import (
     DEFAULT_LEASE_SIZE,
@@ -219,11 +219,6 @@ def _cell(value: object) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-#: Backwards-compatible alias; the worker entry point lives in
-#: :mod:`repro.engine.backends` now.
-_execute = execute_job
 
 
 class BatchEngine:

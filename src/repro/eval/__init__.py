@@ -17,9 +17,7 @@ synthesis flow:
 The tabu engine (:mod:`repro.synthesis.tabu`), the policy-refinement
 sweep and checkpoint descent (:mod:`repro.synthesis`), the Pareto
 explorer (:mod:`repro.dse`) and the fault-injection campaigns
-(:mod:`repro.campaigns`) are all wired through this layer; the legacy
-:class:`~repro.schedule.estimation_cache.EstimationCache` survives
-only as a deprecated shim over it.
+(:mod:`repro.campaigns`) are all wired through this layer.
 """
 
 from repro.eval.core import (
@@ -38,11 +36,7 @@ from repro.eval.diskcache import (
     DiskCacheStats,
     cache_dir_default,
 )
-from repro.eval.problem import (
-    ScheduleProblem,
-    problem_fingerprint,
-    workload_fingerprint,
-)
+from repro.eval.problem import ScheduleProblem, problem_fingerprint
 from repro.schedule.estimation import EstimatorState, solution_fingerprint
 
 __all__ = [
@@ -62,5 +56,4 @@ __all__ = [
     "incremental_default",
     "problem_fingerprint",
     "solution_fingerprint",
-    "workload_fingerprint",
 ]

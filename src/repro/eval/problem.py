@@ -2,10 +2,7 @@
 
 Every evaluation-layer cache answers questions about one *problem*:
 a fixed application graph, architecture, fault model and priority
-assignment. The legacy :class:`~repro.schedule.estimation_cache.
-EstimationCache` expressed that binding ad hoc — it latched the first
-``(app, arch, priorities)`` it saw and raised on object-identity
-mismatches. :class:`ScheduleProblem` replaces that with a canonical,
+assignment. :class:`ScheduleProblem` identifies it by a canonical,
 hashable **fingerprint** of the problem content: two structurally
 identical workloads produce the same fingerprint regardless of object
 identity or construction order, and :meth:`ScheduleProblem.for_workload`
@@ -53,16 +50,6 @@ def problem_fingerprint(app: Application, arch: Architecture,
         ("faults", fault_model.k, fault_model.condition_size_bytes),
         ("priorities", tuple(sorted(priorities.items()))),
     )
-
-
-def workload_fingerprint(app: Application,
-                         arch: Architecture) -> Fingerprint:
-    """The (application, architecture) part of the problem identity.
-
-    Used by the deprecated cache shim to reproduce its historical
-    one-workload binding errors without relying on object identity.
-    """
-    return problem_fingerprint(app, arch, FaultModel(k=0), {})[:2]
 
 
 #: Interning table: fingerprint -> live ScheduleProblem. Weak values,

@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from collections.abc import Mapping, Sequence
 
-from repro.engine.cache import EvaluatorPool
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
 from repro.engine.runner import BatchEngine, EngineConfig, JobOutcome
+from repro.eval import EvaluatorPool
 from repro.experiments.reporting import (
     group_cells_by_size,
     mean,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.schedule.estimation_cache import CacheStats
+from repro.eval.core import CacheStats
 from repro.utils.textgrid import TextGrid
 
 
@@ -29,7 +29,7 @@ def cache_stats_from_cells(cells: Sequence[Mapping]) -> CacheStats:
     its evaluator pool's estimate-tier ``cache_hits`` /
     ``cache_misses`` (and, since the unified evaluation core,
     ``cache_entries``); this folds them into one
-    :class:`~repro.schedule.estimation_cache.CacheStats` so reports
+    :class:`~repro.eval.CacheStats` so reports
     and benchmarks stop recomputing hit rates by hand. Cells restored
     from pre-existing checkpoints may lack the keys; they count as
     zero.

@@ -22,7 +22,6 @@ from repro.schedule.estimation import (
     estimate_ft_schedule,
     solution_fingerprint,
 )
-from repro.schedule.estimation_cache import CacheStats, EstimationCache
 from repro.schedule.conditional import ConditionalScheduler, synthesize_schedule
 from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
 from repro.schedule.render import render_node_table, render_schedule_set
@@ -49,8 +48,6 @@ __all__ = [
     "CopyMapping",
     "EntryKind",
     "FaultFreeSchedule",
-    "CacheStats",
-    "EstimationCache",
     "EstimatorState",
     "FtEstimate",
     "FtMemoryOverhead",

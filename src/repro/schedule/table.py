@@ -144,38 +144,35 @@ class ScheduleSet:
         If two entries are identical except that one guard contains a
         literal and the other its negation, the condition does not
         influence the activation: both collapse into one entry without
-        the literal (repeatedly, until a fixpoint). This yields the
-        compact tables of paper Fig. 6.
+        the literal. This yields the compact tables of paper Fig. 6.
+
+        One pass of per-shape fixpoints: entries are grouped by shape
+        (everything but the guard) and each group's guards are merged
+        until no complementary pair is left. A merged entry keeps its
+        group's shape and every group ends at a fixpoint, so a second
+        pass could never merge anything.
         """
-        entries = list(self.entries)
-        changed = True
-        while changed:
-            changed = False
-            by_shape: dict[tuple, list[int]] = {}
-            for index, entry in enumerate(entries):
-                shape = (entry.kind, entry.location, entry.attempt,
-                         entry.message, entry.producer_copy,
-                         round(entry.start, 6), round(entry.duration, 6),
-                         entry.frames, entry.can_fail)
-                by_shape.setdefault(shape, []).append(index)
-            merged_out: set[int] = set()
-            additions: list[TableEntry] = []
-            for indices in by_shape.values():
-                if len(indices) < 2:
-                    continue
-                result = _merge_guards(
-                    [entries[i].guard for i in indices])
-                if result is not None:
-                    merged_out.update(indices)
-                    for guard in result:
-                        additions.append(
-                            replace(entries[indices[0]], guard=guard))
-                    changed = True
-            if changed:
-                entries = [e for i, e in enumerate(entries)
-                           if i not in merged_out] + additions
+        entries = self.entries
+        by_shape: dict[tuple, list[int]] = {}
+        for index, entry in enumerate(entries):
+            shape = (entry.kind, entry.location, entry.attempt,
+                     entry.message, entry.producer_copy,
+                     round(entry.start, 6), round(entry.duration, 6),
+                     entry.frames, entry.can_fail)
+            by_shape.setdefault(shape, []).append(index)
+        merged_out: set[int] = set()
+        additions: list[TableEntry] = []
+        for indices in by_shape.values():
+            if len(indices) < 2:
+                continue
+            result = _merge_guards([entries[i].guard for i in indices])
+            if result is not None:
+                merged_out.update(indices)
+                additions.extend(replace(entries[indices[0]], guard=guard)
+                                 for guard in result)
         return ScheduleSet(
-            entries=tuple(entries),
+            entries=tuple(e for i, e in enumerate(entries)
+                          if i not in merged_out) + tuple(additions),
             leaves=self.leaves,
             worst_case_length=self.worst_case_length,
             fault_free_length=self.fault_free_length,
@@ -184,8 +181,12 @@ class ScheduleSet:
 
 
 def _merge_guards(guards: list[Guard]) -> list[Guard] | None:
-    """One merging pass over a set of guards; returns the reduced set
-    or ``None`` when nothing merges."""
+    """Merge complementary guard pairs until none is left.
+
+    Greedy: the first mergeable pair in scan order merges, its union
+    goes to the end of the list and the scan restarts. Returns the
+    reduced set, or ``None`` when nothing merges.
+    """
     remaining = list(guards)
     merged_any = False
     changed = True
@@ -193,7 +194,7 @@ def _merge_guards(guards: list[Guard]) -> list[Guard] | None:
         changed = False
         for i in range(len(remaining)):
             for j in range(i + 1, len(remaining)):
-                union = _complementary_pair(remaining[i], remaining[j])
+                union = remaining[i].merge_complementary(remaining[j])
                 if union is not None:
                     rest = [g for idx, g in enumerate(remaining)
                             if idx not in (i, j)]
@@ -204,20 +205,6 @@ def _merge_guards(guards: list[Guard]) -> list[Guard] | None:
             if changed:
                 break
     return remaining if merged_any else None
-
-
-def _complementary_pair(a: Guard, b: Guard) -> Guard | None:
-    """If ``a`` and ``b`` differ in exactly one attempt with opposite
-    values (all other literals equal), return the common guard."""
-    lits_a = {lit.attempt: lit.faulty for lit in a.literals}
-    lits_b = {lit.attempt: lit.faulty for lit in b.literals}
-    if set(lits_a) != set(lits_b):
-        return None
-    differing = [att for att, val in lits_a.items() if lits_b[att] != val]
-    if len(differing) != 1:
-        return None
-    target = differing[0]
-    return Guard([lit for lit in a.literals if lit.attempt != target])
 
 
 def merge_entries(groups: Iterable[Iterable[TableEntry]],

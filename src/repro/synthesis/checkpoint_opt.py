@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.eval.core import Evaluator, EvaluatorPool
-from repro.schedule.estimation_cache import EstimationCache
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -78,7 +77,7 @@ def optimize_checkpoints_globally(
     priorities: Mapping[str, float] | None = None,
     bus_contention: bool = True,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    cache: "EstimationCache | EvaluatorPool | None" = None,
+    cache: EvaluatorPool | None = None,
     evaluator: Evaluator | None = None,
 ) -> tuple[PolicyAssignment, FtEstimate, int]:
     """Steepest-descent over per-copy checkpoint counts.

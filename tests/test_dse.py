@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+import repro.dse.explorer as explorer
+import repro.eval.core as eval_core
 from repro.cli import main as cli_main
 from repro.dse import (
     Candidate,
@@ -18,6 +21,7 @@ from repro.dse import (
     dominates,
     dse_jobs,
     enumerate_candidates,
+    merge_dse_cells,
     run_dse,
     run_dse_chunk,
     space_size,
@@ -46,6 +50,23 @@ SMALL_CONFIG = DseConfig(
     settings=TabuSettings(iterations=4, neighborhood=6,
                           bus_contention=False),
 )
+
+
+#: SMALL_CONFIG with frontier certification on.
+CERTIFYING_CONFIG = DseConfig(
+    workload=SMALL_CONFIG.workload,
+    space=SMALL_CONFIG.space,
+    chunks=SMALL_CONFIG.chunks,
+    settings=SMALL_CONFIG.settings,
+    verify_frontier=True,
+)
+
+#: The CI smoke command; its reports are pinned by SHA-256 below.
+CERTIFY_COMMAND = [
+    "dse", "--processes", "4", "--nodes", "2", "--seed", "2",
+    "--k", "1", "2", "--checkpoint-counts", "0", "1", "2",
+    "--verify-frontier", "--workers", "1", "--no-resume",
+]
 
 
 def _point(index, objectives, group="k=1", **extras):
@@ -353,6 +374,67 @@ class TestExplorer:
         assert any(p.rstrip().endswith("-")
                    for p in report.frontier_table().splitlines()[2:])
 
+    def test_certification_derives_no_design_twice(self, monkeypatch):
+        """Certifying reuses the chunks' designs and tables: tabu runs
+        and exact table builds are exactly those of a plain run."""
+        calls = {"synthesize": 0, "synthesize_schedule": 0}
+
+        def counting(name, module):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting("synthesize", explorer)
+        counting("synthesize_schedule", eval_core)
+        counts = []
+        for config in (SMALL_CONFIG, CERTIFYING_CONFIG):
+            calls.update(synthesize=0, synthesize_schedule=0)
+            report = run_dse(config,
+                             engine_config=EngineConfig(workers=1))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["synthesize_schedule"] > 0
+        assert all(p.extras["certified"] is True
+                   for p in report.frontier)
+
+    def test_certifying_run_reruns_plain_journal(self, tmp_path):
+        path = tmp_path / "dse.ckpt.jsonl"
+        engine = EngineConfig(workers=1, checkpoint_path=path)
+        plain = run_dse(SMALL_CONFIG, engine_config=engine)
+        assert plain.executed_chunks == SMALL_CONFIG.chunks
+        # The plain chunks carry no certificates: their params differ,
+        # so none of them is merged into a certifying run.
+        certified = run_dse(CERTIFYING_CONFIG, engine_config=engine)
+        assert certified.executed_chunks == CERTIFYING_CONFIG.chunks
+        assert certified.resumed_chunks == 0
+        assert certified.frontier
+        assert all(p.extras["certified"] is True
+                   for p in certified.frontier)
+        resumed = run_dse(CERTIFYING_CONFIG, engine_config=engine)
+        assert resumed.resumed_chunks == CERTIFYING_CONFIG.chunks
+        assert resumed.executed_chunks == 0
+        assert resumed.to_json() == certified.to_json()
+
+    def test_merge_rejects_missing_or_duplicate_certificates(self):
+        cells = [run_dse_chunk(job.params_dict())
+                 for job in dse_jobs(CERTIFYING_CONFIG)]
+        frontier_index = merge_dse_cells(
+            CERTIFYING_CONFIG, cells).frontier[0].index
+
+        def without_row(cell):
+            return dict(cell, certificates=[
+                row for row in cell["certificates"]
+                if row[0] != frontier_index])
+
+        with pytest.raises(RuntimeError, match="no chunk certifies"):
+            merge_dse_cells(CERTIFYING_CONFIG,
+                            [without_row(c) for c in cells])
+        with pytest.raises(RuntimeError, match="both certify"):
+            merge_dse_cells(CERTIFYING_CONFIG, cells + cells[:1])
+
     def test_checkpoint_insensitive_designs_deduplicated(self):
         # MR synthesizes pure replication (no recovering copies), so
         # only the first checkpoint count is evaluated per
@@ -463,6 +545,25 @@ class TestDseCli:
         assert "worst case" in captured
         assert "frontier" in captured
         assert out.exists()
+
+    @pytest.mark.parametrize("extra, digest", [
+        (["--chunks", "1"], "3a654f128f7511c4f8015d17eb1a7cd2"
+                            "1ca7d01b825d5494d3f9ff479d6b128e"),
+        (["--chunks", "3"], "ab5f4eb7454ca9960363b714cd9db2a9"
+                            "9d19c26d48fc726cd9553b6c45240fc5"),
+        # Every design beyond the budget: all flags None.
+        (["--chunks", "3", "--verify-max-scenarios", "1"],
+         "05176f50ab3a8cc5b33b5d1be5cafc60"
+         "cfbd175be1d10d82c5648857428c5519"),
+    ])
+    def test_certified_report_bytes_pinned(self, tmp_path, extra,
+                                           digest):
+        """Report bytes of the CI smoke command at two chunk layouts
+        and with every design beyond the scenario budget."""
+        out = tmp_path / "dse.json"
+        assert cli_main(CERTIFY_COMMAND + extra
+                        + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_cli_verify_frontier(self, capsys):
         code = cli_main([

@@ -4,8 +4,8 @@ The contracts under test are the ones the sweeps rely on:
 
 * parallel execution produces results cell-for-cell equal to serial
   execution, and byte-identical JSON/CSV exports;
-* the estimation cache returns estimates identical to fresh
-  computation (same values, same object on repeat lookups);
+* the evaluator pool's estimate cache returns estimates identical to
+  fresh computation (same values, same object on repeat lookups);
 * resume-from-checkpoint skips completed cells and never reuses a
   record whose parameters changed.
 """
@@ -20,13 +20,12 @@ import engine_runners
 from repro.engine import (
     BatchJob,
     EngineConfig,
-    EstimationCache,
     grid_jobs,
     resolve_runner,
     run_batch,
     run_job,
-    solution_fingerprint,
 )
+from repro.eval import EvaluatorPool, solution_fingerprint
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.schedule import estimate_ft_schedule
@@ -96,6 +95,9 @@ class TestGrid:
 
 
 class TestEstimationCache:
+    """The estimate tier of :class:`~repro.eval.EvaluatorPool`, the
+    cache every sweep cell shares."""
+
     def _workload(self, chain_app, two_nodes, k=2):
         policies = PolicyAssignment.uniform(
             chain_app, ProcessPolicy.re_execution(k))
@@ -104,9 +106,9 @@ class TestEstimationCache:
 
     def test_cached_equals_fresh(self, chain_app, two_nodes):
         mapping, policies, fm = self._workload(chain_app, two_nodes)
-        cache = EstimationCache()
-        cached = cache.estimate(chain_app, two_nodes, mapping,
-                                policies, fm)
+        pool = EvaluatorPool()
+        cached = pool.evaluator_for(chain_app, two_nodes, fm).estimate(
+            policies, mapping)
         fresh = estimate_ft_schedule(chain_app, two_nodes, mapping,
                                      policies, fm)
         assert cached.schedule_length == fresh.schedule_length
@@ -118,74 +120,49 @@ class TestEstimationCache:
     def test_repeat_lookup_returns_same_object(self, chain_app,
                                                two_nodes):
         mapping, policies, fm = self._workload(chain_app, two_nodes)
-        cache = EstimationCache()
-        first = cache.estimate(chain_app, two_nodes, mapping,
-                               policies, fm)
-        second = cache.estimate(chain_app, two_nodes, mapping,
-                                policies, fm)
+        pool = EvaluatorPool()
+        first = pool.evaluator_for(chain_app, two_nodes, fm).estimate(
+            policies, mapping)
+        second = pool.evaluator_for(chain_app, two_nodes, fm).estimate(
+            policies, mapping)
         assert second is first
-        assert cache.stats().hits == 1
-        assert cache.stats().misses == 1
+        assert pool.stats().estimates.hits == 1
+        assert pool.stats().estimates.misses == 1
 
     def test_distinct_solutions_distinct_entries(self, chain_app,
                                                  two_nodes):
         mapping, policies, fm = self._workload(chain_app, two_nodes)
-        cache = EstimationCache()
-        cache.estimate(chain_app, two_nodes, mapping, policies, fm)
+        pool = EvaluatorPool()
+        evaluator = pool.evaluator_for(chain_app, two_nodes, fm)
+        evaluator.estimate(policies, mapping)
         moved = mapping.replaced("P1", 0, "N2") \
             if mapping.node_of("P1") == "N1" \
             else mapping.replaced("P1", 0, "N1")
-        cache.estimate(chain_app, two_nodes, moved, policies, fm)
-        assert len(cache) == 2
-        assert cache.stats().misses == 2
+        evaluator.estimate(policies, moved)
+        assert len(pool) == 2
+        assert pool.stats().estimates.misses == 2
 
     def test_k_and_contention_in_key(self, chain_app, two_nodes):
         mapping, policies, fm = self._workload(chain_app, two_nodes)
-        cache = EstimationCache()
-        a = cache.estimate(chain_app, two_nodes, mapping, policies,
-                           fm, bus_contention=True)
-        b = cache.estimate(chain_app, two_nodes, mapping, policies,
-                           fm, bus_contention=False)
-        assert cache.stats().misses == 2
+        pool = EvaluatorPool()
+        evaluator = pool.evaluator_for(chain_app, two_nodes, fm)
+        a = evaluator.estimate(policies, mapping, bus_contention=True)
+        b = evaluator.estimate(policies, mapping, bus_contention=False)
+        assert pool.stats().estimates.misses == 2
         assert a is not b
+        # Another fault budget is another problem, hence another entry.
+        pool.evaluator_for(chain_app, two_nodes,
+                           FaultModel(k=fm.k + 1)).estimate(
+            policies, mapping)
+        assert pool.stats().estimates.misses == 3
 
     def test_bound_eviction(self, chain_app, two_nodes):
         mapping, policies, fm = self._workload(chain_app, two_nodes)
-        cache = EstimationCache(max_entries=1)
-        cache.estimate(chain_app, two_nodes, mapping, policies, fm)
-        cache.estimate(chain_app, two_nodes, mapping, policies, fm,
-                       bus_contention=False)
-        assert len(cache) == 1
-
-    def test_rejects_priorities_mix(self, chain_app, two_nodes):
-        from repro.schedule import partial_critical_path_priorities
-        mapping, policies, fm = self._workload(chain_app, two_nodes)
-        pcp = dict(partial_critical_path_priorities(chain_app,
-                                                    two_nodes))
-        cache = EstimationCache()
-        cache.estimate(chain_app, two_nodes, mapping, policies, fm,
-                       priorities=pcp)
-        # Equal-valued priorities (recomputed per caller) are fine...
-        cache.estimate(chain_app, two_nodes, mapping, policies, fm,
-                       priorities=dict(pcp))
-        # ...but a different priority map would poison the cache.
-        skewed = {name: 0.0 for name in pcp}
-        with pytest.raises(ValueError, match="priority"):
-            cache.estimate(chain_app, two_nodes, mapping, policies,
-                           fm, priorities=skewed)
-
-    def test_rejects_workload_mix(self, chain_app, fork_join_app,
-                                  two_nodes):
-        mapping, policies, fm = self._workload(chain_app, two_nodes)
-        cache = EstimationCache()
-        cache.estimate(chain_app, two_nodes, mapping, policies, fm)
-        other_policies = PolicyAssignment.uniform(
-            fork_join_app, ProcessPolicy.re_execution(2))
-        other_mapping = initial_mapping(fork_join_app, two_nodes,
-                                        other_policies)
-        with pytest.raises(ValueError, match="one workload"):
-            cache.estimate(fork_join_app, two_nodes, other_mapping,
-                           other_policies, fm)
+        pool = EvaluatorPool(max_entries=1)
+        evaluator = pool.evaluator_for(chain_app, two_nodes, fm)
+        evaluator.estimate(policies, mapping)
+        evaluator.estimate(policies, mapping, bus_contention=False)
+        assert len(pool) == 1
 
     def test_fingerprint_order_independent(self, chain_app, two_nodes):
         policies = PolicyAssignment.uniform(

@@ -57,8 +57,8 @@ class TestScheduleProblem:
 
     def test_structurally_equal_workloads_intern_together(self):
         # Two independently generated (identical) workloads: object
-        # identity differs, fingerprints agree — the whole point of
-        # replacing the identity-bound EstimationCache binding.
+        # identity differs, fingerprints agree, so one pool serves
+        # both without binding to object identity.
         app1, arch1 = small_workload()
         app2, arch2 = small_workload()
         assert app1 is not app2

@@ -77,6 +77,34 @@ class TestGuard:
         g = Guard([lit("P1")]).union(Guard([lit("P2")]))
         assert len(g) == 2
 
+    def test_merge_complementary_drops_the_differing_literal(self):
+        a = Guard([lit("P1", True), lit("P2", False), lit("P3", True)])
+        b = Guard([lit("P3", True), lit("P1", True), lit("P2", True)])
+        merged = a.merge_complementary(b)
+        assert merged == Guard([lit("P1", True), lit("P3", True)])
+        # The result keeps the receiver's literal order.
+        assert str(merged) == "F[P1] & F[P3]"
+        assert str(b.merge_complementary(a)) == "F[P3] & F[P1]"
+
+    def test_merge_complementary_to_true(self):
+        merged = Guard([lit("P1", True)]).merge_complementary(
+            Guard([lit("P1", False)]))
+        assert merged is not None and merged.is_unconditional
+
+    def test_merge_complementary_rejects_non_pairs(self):
+        ab = Guard([lit("P1", True), lit("P2", True)])
+        # Two differing literals.
+        assert ab.merge_complementary(
+            Guard([lit("P1", False), lit("P2", False)])) is None
+        # Equal guards differ in nothing.
+        assert ab.merge_complementary(
+            Guard([lit("P2", True), lit("P1", True)])) is None
+        # Different attempt sets, equal or unequal in size.
+        assert ab.merge_complementary(
+            Guard([lit("P1", False), lit("P3", True)])) is None
+        assert ab.merge_complementary(Guard([lit("P1", False)])) is None
+        assert Guard.TRUE.merge_complementary(Guard.TRUE) is None
+
     def test_implies(self):
         strong = Guard([lit("P1"), lit("P2")])
         weak = Guard([lit("P1")])

@@ -22,6 +22,14 @@ The three views of a design's worst case must agree:
   replication it is *shorter*: a process completes at its first
   successful copy, the trace schedules them all).
 
+Every design of the grid also checks that **compression preserves
+meaning**: its raw tables (``compress=False``) run every scenario to
+the same ``ok``, ``completed`` and ``makespan`` as the compressed
+tables. Frozen-transparency designs are checked separately on
+checkpointed DSE candidates, where raw tables may fail the
+decidability check by design (a pinned frozen start keeps its context
+guard until compression collapses it).
+
 A fourth leg holds the **array-compiled kernels**
 (:mod:`repro.kernels`) against ``REPRO_KERNELS=0``. Every design the
 grid visits asserts full :class:`~repro.schedule.estimation.FtEstimate`
@@ -48,11 +56,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaigns.stats import estimate_bound
+from repro.dse.explorer import DEFAULT_SETTINGS, apply_checkpoint_counts
+from repro.dse.space import SpaceConfig, enumerate_candidates
 from repro.eval.core import EvaluatorPool
 from repro.kernels import KERNELS_ENV
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime.simulator import simulate
+from repro.schedule.conditional import synthesize_schedule
 from repro.schedule.estimation import EstimatorState, estimate_ft_schedule
 from repro.synthesis import initial_mapping, synthesize
 from repro.synthesis.moves import PolicyMove, RemapMove
@@ -90,6 +101,21 @@ def _kernels_env(value: str):
             os.environ[KERNELS_ENV] = saved
 
 
+def _raw_results(app, arch, mapping, policies, fault_model, priorities,
+                 transparency=None):
+    """Sweep of one design's uncompressed tables, in plan order."""
+    raw = synthesize_schedule(app, arch, mapping, policies, fault_model,
+                              transparency, priorities=priorities,
+                              max_contexts=200_000, compress=False)
+    return ScenarioSweep(app, arch, mapping, policies, fault_model,
+                         raw).results()
+
+
+def _meaning(result) -> tuple:
+    """What a scenario's execution means, fired entries aside."""
+    return result.ok, result.completed, result.makespan
+
+
 def _check_triangle(app, arch, strategy: str, k: int) -> None:
     """Synthesize one design and close the triangle on it."""
     pool = EvaluatorPool()
@@ -102,8 +128,11 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
                                         max_contexts=200_000)
     sweep = ScenarioSweep(app, arch, design.mapping, design.policies,
                           fault_model, schedule)
+    raw_results = _raw_results(app, arch, design.mapping,
+                               design.policies, fault_model,
+                               evaluator.problem.priorities)
     stats = VerificationStats()
-    for result in sweep.results():
+    for result, raw in zip(sweep.results(), raw_results, strict=True):
         stats.observe(result)
         # Kernel vs simulator: the sweep (the batched scenario kernel
         # unless REPRO_KERNELS=0) reproduces the one-shot replay bit
@@ -113,6 +142,10 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
             schedule, result.plan), (
             f"{app.name}/{strategy}/k={k}: swept result diverged "
             f"from simulate() on {result.plan.describe()}")
+        # Compressed vs raw tables: the same execution.
+        assert _meaning(result) == _meaning(raw), (
+            f"{app.name}/{strategy}/k={k}: compression changed "
+            f"{result.plan.describe()}")
 
     label = f"{app.name}/{strategy}/k={k}"
     pure = all(len(policy.copies) == 1
@@ -189,6 +222,52 @@ class TestOracleProperty:
             processes=processes, nodes=nodes, seed=seed,
             layer_width=3))
         _check_triangle(app, arch, strategy, k)
+
+
+class TestCompressionMeaning:
+    """Compressed tables of frozen, checkpointed DSE candidates.
+
+    Raw tables of such designs may fail the decidability check: a
+    pinned frozen start keeps its context guard until compression
+    collapses it. So the compressed tables must run every scenario
+    clean, and agree with the raw tables wherever those run clean.
+    """
+
+    @pytest.mark.parametrize("seed", (1, 7))
+    def test_frozen_checkpointed_candidates(self, seed):
+        app, arch = generate_workload(GeneratorConfig(
+            processes=3, nodes=2, seed=seed))
+        space = SpaceConfig(strategies=("MXR",), k_values=(2,),
+                            checkpoint_counts=(1, 2),
+                            transparency_samples=1, seed=seed)
+        fault_model = FaultModel(k=2)
+        pool = EvaluatorPool()
+        design = synthesize(app, arch, fault_model, "MXR",
+                            settings=DEFAULT_SETTINGS, cache=pool)
+        evaluator = pool.evaluator_for(app, arch, fault_model)
+        frozen = [c for c in enumerate_candidates(app, arch, space)
+                  if c.transparency.frozen_processes
+                  or c.transparency.frozen_messages]
+        assert frozen
+        for candidate in frozen:
+            policies, mapping = apply_checkpoint_counts(
+                app, design.policies, design.mapping,
+                candidate.checkpoints)
+            transparency = candidate.transparency.build()
+            schedule = evaluator.exact_schedule(
+                policies, mapping, transparency, max_contexts=200_000)
+            sweep = ScenarioSweep(app, arch, mapping, policies,
+                                  fault_model, schedule)
+            raw_results = _raw_results(
+                app, arch, mapping, policies, fault_model,
+                evaluator.problem.priorities, transparency)
+            for result, raw in zip(sweep.results(), raw_results,
+                                   strict=True):
+                label = (f"{candidate.candidate_id} on "
+                         f"{result.plan.describe()}")
+                assert result.ok, f"{label}: {result.errors}"
+                if raw.ok:
+                    assert _meaning(result) == _meaning(raw), label
 
 
 def _policy_options(k: int) -> tuple[ProcessPolicy, ...]:

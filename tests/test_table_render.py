@@ -126,6 +126,24 @@ class TestCompression:
         # Literal sets differ: nothing merges.
         assert len(compressed.entries) == 2
 
+    @pytest.mark.parametrize("order, expected", [
+        # ab and a!b are scanned first: they merge to a, and !ab is
+        # left without a partner.
+        (("ab", "a!b", "!ab"), ["!F[P8] & F[P9]", "F[P8]"]),
+        # !ab and ab are scanned first: they merge to b instead.
+        (("!ab", "ab", "a!b"), ["F[P8] & !F[P9]", "F[P9]"]),
+    ])
+    def test_greedy_pair_order(self, order, expected):
+        # a is P8 faulty, b is P9 faulty.
+        values = {"ab": (True, True), "a!b": (True, False),
+                  "!ab": (False, True)}
+        entries = [
+            entry(guard=Guard([ConditionLiteral(att("P8"), values[c][0]),
+                               ConditionLiteral(att("P9"), values[c][1])]))
+            for c in order]
+        compressed = schedule_of(entries).compressed()
+        assert [str(e.guard) for e in compressed.entries] == expected
+
     def test_can_fail_blocks_merge(self):
         cond = att("P9")
         a = entry(guard=Guard([ConditionLiteral(cond, True)]),
