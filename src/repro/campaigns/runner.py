@@ -22,7 +22,10 @@ synthesis and the same plan list from the campaign seed (workers share
 nothing), simulates its slice, and returns streaming
 :class:`~repro.campaigns.stats.CampaignStats`; the parent folds chunk
 stats in job-submission order, which makes serial and parallel
-campaign reports byte-identical.
+campaign reports byte-identical. A certified campaign is still one
+engine run: each chunk also sweeps one contiguous window of every
+fault scenario of the design it built, and the parent folds those
+certificates the way :mod:`repro.verify` folds its chunks.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from repro.engine.runner import (
     ProgressCallback,
 )
 from repro.des.core import DesSimulator
-from repro.errors import ToleranceViolationError
 from repro.eval.core import EvaluatorPool
 from repro.kernels import kernels_enabled, kernels_info
 from repro.model.application import Application
@@ -98,10 +100,10 @@ class CampaignConfig:
         default_factory=lambda: TabuSettings(
             iterations=8, neighborhood=8, bus_contention=False))
     max_contexts: int = 200_000
-    #: Certified mode: additionally run the exhaustive sharded
-    #: verifier (:mod:`repro.verify`) on the very design the sampled
-    #: plans stressed — same seed derivation, same chunk count — and
-    #: fold the certificate into the report.
+    #: Certified mode: every chunk additionally sweeps its window of
+    #: all fault scenarios of the design it sampled — the windows
+    #: ``repro verify`` with the same seed and chunk count sweeps —
+    #: and the folded certificate lands in the report.
     certify: bool = False
     certify_max_scenarios: int = 200_000
     #: DES-only fault axes (docs/des.md): every sampled faulty plan is
@@ -126,6 +128,10 @@ class CampaignConfig:
         if self.samples < 0:
             raise ValueError(
                 f"samples must be >= 0, got {self.samples}")
+        if self.certify_max_scenarios < 1:
+            raise ValueError(
+                f"certify_max_scenarios must be >= 1, got "
+                f"{self.certify_max_scenarios}")
         if self.intermittent < 0 or self.slot_faults < 0 \
                 or self.jitter < 0:
             raise ValueError(
@@ -202,7 +208,13 @@ def synthesize_campaign_design(app, arch, k: int, strategy: str,
 
 
 def campaign_jobs(config: CampaignConfig) -> list[BatchJob]:
-    """One engine job per plan chunk."""
+    """One engine job per plan chunk.
+
+    Only certifying runs put ``certify_max_scenarios`` in the params,
+    so their chunks never resume from a journal without certificates.
+    """
+    certify = ({"certify_max_scenarios": config.certify_max_scenarios}
+               if config.certify else {})
     return grid_jobs(
         CHUNK_RUNNER,
         {"chunk": tuple(range(config.chunks))},
@@ -221,6 +233,7 @@ def campaign_jobs(config: CampaignConfig) -> list[BatchJob]:
             "intermittent": config.intermittent,
             "slot_faults": config.slot_faults,
             "jitter": config.jitter,
+            **certify,
         },
     )
 
@@ -231,11 +244,7 @@ class CampaignDesign:
 
     Everything :func:`run_campaign_chunk` derives from the seed before
     it starts simulating: the instance, the synthesized design, the
-    exact tables and the certified estimate bound. Exposed so
-    in-process callers that need both the sampled campaign *and* an
-    exhaustive verification of the same design (the certified sweep
-    cells of :mod:`repro.experiments.campaign`) build it once instead
-    of re-running the synthesis per phase.
+    exact tables and the certified estimate bound.
     """
 
     app: Application
@@ -280,20 +289,23 @@ def build_campaign_design(params: Mapping[str, object],
                           certified=certified, bound=bound, pool=pool)
 
 
-def run_campaign_chunk(params: Mapping[str, object],
-                       design: CampaignDesign | None = None) -> dict:
+def run_campaign_chunk(params: Mapping[str, object]) -> dict:
     """One chunk: synthesize, build exact tables, simulate a slice.
 
     Pure function of its params (the engine's worker contract). The
     synthesis seed and the sampling seed are both derived from the
     campaign seed — *not* from the chunk index — so every chunk
     reproduces the identical design and plan list and only its stride
-    slice differs. ``design`` lets an in-process caller hand in the
-    :func:`build_campaign_design` context it already built (engine
-    workers always rebuild from the params).
+    slice differs.
+
+    With ``certify_max_scenarios`` in the params the payload also
+    carries a ``certificate``: the chunk's window of every fault
+    scenario of the same design, swept on the same tables — the window
+    verify chunk ``chunk`` sweeps — or ``{"skipped": reason}`` beyond
+    the limit. The cache counters are read before, so certifying does
+    not move them.
     """
-    if design is None:
-        design = build_campaign_design(params)
+    design = build_campaign_design(params)
     app, arch = design.app, design.arch
     fault_model = design.fault_model
     result, schedule = design.result, design.schedule
@@ -355,7 +367,7 @@ def run_campaign_chunk(params: Mapping[str, object],
                       deadline=app.deadline,
                       expected_processes=len(app.process_names))
     cache_stats = design.pool.stats()
-    return {
+    payload = {
         "chunk": int(params["chunk"]),
         "plans_total": len(plans),
         "stats": stats.to_jsonable(),
@@ -372,6 +384,20 @@ def run_campaign_chunk(params: Mapping[str, object],
         "processes": len(app.process_names),
         "nodes": len(arch.node_names),
     }
+    max_scenarios = params.get("certify_max_scenarios")
+    if max_scenarios is not None:
+        # Imported lazily: repro.verify.runner imports this module
+        # for the shared design derivation.
+        from repro.verify.core import ScenarioSweep
+        from repro.verify.runner import scenario_limit_error, sweep_window
+        sweep = ScenarioSweep(app, arch, result.mapping, result.policies,
+                              fault_model, schedule)
+        error = scenario_limit_error(sweep.total, int(max_scenarios))
+        payload["certificate"] = (
+            {"skipped": str(error)} if error is not None
+            else sweep_window(sweep, None, int(params["chunk"]),
+                              int(params["chunks"])))
+    return payload
 
 
 #: Scalars every chunk of one campaign must agree on (they all derive
@@ -546,11 +572,10 @@ def run_campaign(config: CampaignConfig, *,
                  ) -> CampaignReport:
     """Run (or resume) one campaign through the batch engine.
 
-    In certified mode (``config.certify``) the sampled stress test is
-    followed by an exhaustive sharded verification of the same design
-    (same seed derivation, same engine configuration — distinct job
-    ids, so a shared checkpoint file serves both phases) and the
-    certificate lands in :attr:`CampaignReport.verification`.
+    In certified mode (``config.certify``) each chunk also certifies
+    its window of the design it sampled; the windows fold in job order
+    into the :class:`~repro.verify.runner.VerifyReport` stored in
+    :attr:`CampaignReport.verification`.
     """
     engine = BatchEngine(engine_config or EngineConfig())
     batch = engine.run(campaign_jobs(config), progress=progress)
@@ -568,14 +593,16 @@ def run_campaign(config: CampaignConfig, *,
     verification = None
     certify_skipped = None
     if config.certify:
-        # Imported lazily: repro.verify.runner imports this module
-        # for the shared design derivation.
-        from repro.verify.runner import (
-            VerifyConfig,
-            run_verification,
-        )
-        try:
-            verification = run_verification(
+        # Imported lazily, as in run_campaign_chunk.
+        from repro.verify.runner import VerifyConfig, merge_verify_cells
+        reasons = {cell["certificate"].get("skipped") for cell in cells}
+        if len(reasons) > 1:
+            raise RuntimeError(
+                "campaign chunks disagree on skipping the certificate "
+                "— a chunk runner is not a pure function of the seed")
+        certify_skipped = reasons.pop()
+        if certify_skipped is None:
+            verification = merge_verify_cells(
                 VerifyConfig(
                     workload=config.workload,
                     k=config.k,
@@ -586,20 +613,9 @@ def run_campaign(config: CampaignConfig, *,
                     max_contexts=config.max_contexts,
                     max_scenarios=config.certify_max_scenarios,
                 ),
-                engine_config=engine_config, progress=progress)
-        except ToleranceViolationError as error:
-            # Scenario count beyond the certify ceiling: keep the
-            # sampled report, record why the certificate is missing
-            # (same degrade-not-crash shape as the DSE frontier).
-            certify_skipped = str(error)
-        else:
-            if verification.exact_worst_case != float(
-                    cells[0]["exact_worst_case"]):
-                raise RuntimeError(
-                    "certified campaign verified a different design "
-                    "than it sampled — the shared seed derivation "
-                    f"broke ({verification.exact_worst_case!r} != "
-                    f"{cells[0]['exact_worst_case']!r})")
+                # Each window's sweep over its chunk's design scalars.
+                [{**cell, **cell["certificate"]} for cell in cells],
+                executed=batch.executed, resumed=batch.resumed)
 
     merged = CampaignStats()
     for cell in cells:

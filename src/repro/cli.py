@@ -621,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes (1 runs serially); "
                                "serial and parallel reports are "
                                "byte-identical")
-    p_verify.add_argument("--max-scenarios", type=int,
+    p_verify.add_argument("--max-scenarios", type=_positive_int,
                           default=VerifyConfig().max_scenarios,
                           help="refuse instances beyond this many "
                                "fault scenarios instead of running "
@@ -732,11 +732,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--out", default=None, metavar="PATH",
                         help="write the canonical JSON campaign report")
     p_camp.add_argument("--certify", action="store_true",
-                        help="follow the sampled campaign with an "
-                             "exhaustive sharded verification of the "
-                             "same design and fold the certificate "
-                             "into the report (exit code includes it)")
-    p_camp.add_argument("--certify-max-scenarios", type=int,
+                        help="every chunk also exhaustively verifies "
+                             "its scenario window of the design it "
+                             "sampled, in the same engine run; the "
+                             "certificate lands in the report (exit "
+                             "code includes it)")
+    p_camp.add_argument("--certify-max-scenarios", type=_positive_int,
                         default=CampaignConfig().certify_max_scenarios,
                         help="skip the certificate (keeping the "
                              "sampled report) when the design has "
@@ -827,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustively verify every frontier "
                             "design and flag it certified/failed in "
                             "the table, JSON and CSV")
-    p_dse.add_argument("--verify-max-scenarios", type=int,
+    p_dse.add_argument("--verify-max-scenarios", type=_positive_int,
                        default=DseConfig().verify_max_scenarios,
                        help="skip certifying frontier designs with "
                             "more fault scenarios than this (flagged "

@@ -30,17 +30,13 @@ import os
 from dataclasses import asdict, dataclass, field
 from collections.abc import Mapping, Sequence
 
-from repro.campaigns.runner import (
-    build_campaign_design,
-    run_campaign_chunk,
-)
+from repro.campaigns.runner import run_campaign_chunk
 from repro.campaigns.stats import CampaignStats
 from repro.engine.backends import BACKENDS
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
 from repro.engine.runner import BatchEngine, EngineConfig, JobOutcome
 from repro.eval.diskcache import CACHE_DIR_ENV
-from repro.ftcpg.scenarios import count_fault_plans
 from repro.experiments.reporting import (
     group_cells_by_size,
     mean,
@@ -48,6 +44,7 @@ from repro.experiments.reporting import (
 )
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
+from repro.verify.stats import VerificationStats
 
 #: Import-path runner reference resolved by engine workers.
 CELL_RUNNER = "repro.experiments.campaign:run_campaign_sweep_cell"
@@ -143,12 +140,11 @@ def campaign_sweep_jobs(config: CampaignSweepConfig | None = None,
 def run_campaign_sweep_cell(params: Mapping[str, object]) -> dict:
     """One sweep cell: a single-chunk campaign on one workload.
 
-    With ``certify`` the cell additionally sweeps **all** fault
-    scenarios of the *same* design context the campaign sampled (one
-    shared :func:`~repro.campaigns.runner.build_campaign_design` —
-    synthesis and exact tables are built once, not per phase) and
-    reports ``verify_ok`` / ``verified_scenarios`` — ``None`` / 0
-    when the scenario count exceeds ``certify_max_scenarios``.
+    With ``certify`` the single chunk also certifies **all** fault
+    scenarios of the design it sampled (its one window is the whole
+    enumeration) and the cell reports ``verify_ok`` /
+    ``verified_scenarios`` — ``None`` / 0 when the scenario count
+    exceeds ``certify_max_scenarios``.
     """
     size = int(params["size"])
     seed = int(params["seed"])
@@ -166,28 +162,20 @@ def run_campaign_sweep_cell(params: Mapping[str, object]) -> dict:
         "settings": params["settings"],
         "max_contexts": params["max_contexts"],
     }
-    design = build_campaign_design(chunk_params)
-    cell = run_campaign_chunk(chunk_params, design=design)
+    if bool(params.get("certify", False)):
+        chunk_params["certify_max_scenarios"] = \
+            params["certify_max_scenarios"]
+    cell = run_campaign_chunk(chunk_params)
     cell["size"] = size
     cell["seed"] = seed
-    if bool(params.get("certify", False)):
-        from repro.verify.core import ScenarioSweep
-        from repro.verify.stats import VerificationStats
-        total = count_fault_plans(design.app, design.result.policies,
-                                  design.fault_model.k)
-        if total > int(params["certify_max_scenarios"]):
-            cell["verify_ok"] = None
-            cell["verified_scenarios"] = 0
-        else:
-            sweep = ScenarioSweep(
-                design.app, design.arch, design.result.mapping,
-                design.result.policies, design.fault_model,
-                design.schedule)
-            stats = VerificationStats()
-            for outcome in sweep.results():
-                stats.observe(outcome)
-            cell["verify_ok"] = stats.ok
-            cell["verified_scenarios"] = stats.scenarios
+    certificate = cell.pop("certificate", None)
+    if certificate is not None and "skipped" in certificate:
+        cell["verify_ok"] = None
+        cell["verified_scenarios"] = 0
+    elif certificate is not None:
+        stats = VerificationStats.from_jsonable(certificate["stats"])
+        cell["verify_ok"] = stats.ok
+        cell["verified_scenarios"] = stats.scenarios
     return cell
 
 

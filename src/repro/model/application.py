@@ -14,7 +14,7 @@ rely on for tie-breaking.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from repro.errors import ValidationError
 from repro.model.message import Message
@@ -218,11 +218,3 @@ class Application:
             f"Application({self._name!r}, processes={len(self._processes)}, "
             f"messages={len(self._messages)}, deadline={self._deadline})"
         )
-
-
-def edge_pairs(app: Application) -> Sequence[tuple[str, str]]:
-    """All (src, dst) process-name pairs with at least one message."""
-    pairs: dict[tuple[str, str], None] = {}
-    for message in app.messages:
-        pairs.setdefault((message.src, message.dst), None)
-    return tuple(pairs)

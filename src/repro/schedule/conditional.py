@@ -380,13 +380,6 @@ class ConditionalScheduler:
         if record is None:
             return None
         src_node, local_time, bus_arrival = record
-        if self._transparency.is_frozen_message(message_name):
-            # Frozen: one visible time everywhere (the pinned send /
-            # its arrival); before pinning, fall back to the natural
-            # times so the collection pass can observe the need.
-            if src_node == node:
-                return local_time
-            return bus_arrival
         if src_node == node:
             return local_time
         return bus_arrival
@@ -532,12 +525,8 @@ class ConditionalScheduler:
             frozen = self._transparency.is_frozen_message(message.name)
             local_time = finish
             if frozen:
-                pin = self._message_pins.get((message.name, copy_index))
-                if pin is not None:
-                    if finish > pin + TIME_EPS:
-                        self._need_message_pin(
-                            message.name, copy_index, finish)
-                    local_time = max(pin, finish)
+                local_time = max(self._message_pins.get(
+                    (message.name, copy_index), finish), finish)
                 self._need_message_pin(message.name, copy_index, finish)
             ctx.avail[(message.name, copy_index)] = (node, local_time, None)
             if self._needs_bus[message.name]:

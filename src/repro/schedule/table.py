@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from collections.abc import Iterable
 
 from repro.comm.tdma import FrameWindow
 from repro.ftcpg.conditions import AttemptId, Guard
@@ -205,12 +204,3 @@ def _merge_guards(guards: list[Guard]) -> list[Guard] | None:
             if changed:
                 break
     return remaining if merged_any else None
-
-
-def merge_entries(groups: Iterable[Iterable[TableEntry]],
-                  ) -> tuple[TableEntry, ...]:
-    """Flatten entry groups into a deterministic tuple."""
-    flat = [entry for group in groups for entry in group]
-    flat.sort(key=lambda e: (e.location, e.start, len(e.guard),
-                             str(e.guard)))
-    return tuple(flat)

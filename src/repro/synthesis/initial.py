@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.errors import MappingError
 from repro.model.application import Application
 from repro.model.architecture import Architecture
-from repro.policies.types import PolicyAssignment, ProcessPolicy
+from repro.policies.types import PolicyAssignment
 from repro.schedule.mapping import CopyMapping
 
 
@@ -48,9 +48,3 @@ def initial_solution(app: Application, arch: Architecture,
                      ) -> tuple[PolicyAssignment, CopyMapping]:
     """(policies, mapping) starting point for the tabu search."""
     return policies, initial_mapping(app, arch, policies)
-
-
-def uniform_policies(app: Application, policy: ProcessPolicy,
-                     ) -> PolicyAssignment:
-    """Thin convenience wrapper used by the strategies module."""
-    return PolicyAssignment.uniform(app, policy)

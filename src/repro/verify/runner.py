@@ -24,7 +24,8 @@ chunk stats in job-submission order, which makes serial and parallel
 verification reports byte-identical — and, because the sweep is
 bit-identical to one-shot simulation, identical to a run with
 ``REPRO_KERNELS=0`` as well, up to the report's ``kernels.enabled``
-flag.
+flag. Chunk 0 also runs the DES-only scenarios (``des_scenarios``) on
+the design and transparency-aware tables it built.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.model.transparency import Transparency
 from repro.runtime.faults import extend_fault_plans, sample_fault_plans
+from repro.schedule.table import ScheduleSet
+from repro.synthesis.strategies import StrategyResult
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
 from repro.verify.core import ScenarioSweep, chunk_bounds
@@ -98,9 +101,9 @@ class VerifyConfig:
     max_scenarios: int = DEFAULT_MAX_SCENARIOS
     #: DES-only scenario sampling (docs/des.md): this many random
     #: fault plans are extended with the axes below and executed
-    #: one-shot through the event-driven simulator in the parent —
-    #: they are beyond the table-expressible enumeration, so the
-    #: sharded sweep cannot carry them.
+    #: one-shot through the event-driven simulator by chunk 0 — they
+    #: are beyond the table-expressible enumeration, so the scenario
+    #: windows cannot carry them.
     des_scenarios: int = 0
     intermittent: int = 1
     slot_faults: int = 1
@@ -157,7 +160,16 @@ def load_verify_workload(spec: Mapping[str, object],
 
 
 def verify_jobs(config: VerifyConfig) -> list[BatchJob]:
-    """One engine job per scenario window."""
+    """One engine job per scenario window.
+
+    Only runs with DES scenarios put the DES knobs in the params, so
+    their chunks never resume from a journal without the DES section.
+    """
+    des = ({"des_scenarios": config.des_scenarios,
+            "intermittent": config.intermittent,
+            "slot_faults": config.slot_faults,
+            "jitter": config.jitter}
+           if config.des_scenarios > 0 else {})
     return grid_jobs(
         CHUNK_RUNNER,
         {"chunk": tuple(range(config.chunks))},
@@ -171,8 +183,33 @@ def verify_jobs(config: VerifyConfig) -> list[BatchJob]:
             "settings": asdict(config.settings),
             "max_contexts": config.max_contexts,
             "max_scenarios": config.max_scenarios,
+            **des,
         },
     )
+
+
+def scenario_limit_error(total: int, max_scenarios: int,
+                         ) -> ToleranceViolationError | None:
+    """The refusal of ``total`` fault scenarios beyond
+    ``max_scenarios``, or None within the limit."""
+    if total <= max_scenarios:
+        return None
+    return ToleranceViolationError(
+        f"{total} fault scenarios exceed the verification limit "
+        f"{max_scenarios}; raise --max-scenarios or verify a "
+        "smaller instance")
+
+
+def sweep_window(sweep: ScenarioSweep, transparency: Transparency | None,
+                 chunk: int, chunks: int) -> dict:
+    """Sweep window ``chunk`` of ``chunks`` of a design's scenarios;
+    the window part of a verify chunk's payload."""
+    start, stop = chunk_bounds(sweep.total, chunk, chunks)
+    stats = VerificationStats()
+    for outcome in sweep.results(start, stop):
+        stats.observe(outcome, transparency)
+    return {"scenarios_total": sweep.total, "start": start,
+            "stop": stop, "stats": stats.to_jsonable()}
 
 
 def run_verify_chunk(params: Mapping[str, object]) -> dict:
@@ -184,6 +221,8 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     window differs. Whether the sweep runs the batched kernel or the
     oracle (``REPRO_KERNELS=0``) never shows in the result — the two
     paths are bit-identical and the flag stays out of the payload.
+    With ``des_scenarios`` in the params, chunk 0's payload also
+    carries :func:`run_des_scenarios`' section for the same tables.
     """
     app, arch, transparency = load_verify_workload(params["workload"])
     k = int(params["k"])
@@ -197,12 +236,9 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     # conditional tables (the expensive, explosion-prone step): the
     # scenario count needs nothing but the synthesized policies.
     total = count_fault_plans(app, result.policies, k)
-    max_scenarios = int(params["max_scenarios"])
-    if total > max_scenarios:
-        raise ToleranceViolationError(
-            f"{total} fault scenarios exceed the verification limit "
-            f"{max_scenarios}; raise --max-scenarios or verify a "
-            "smaller instance")
+    error = scenario_limit_error(total, int(params["max_scenarios"]))
+    if error is not None:
+        raise error
     evaluator = pool.evaluator_for(app, arch, fault_model)
     schedule = evaluator.exact_schedule(
         result.policies, result.mapping, transparency,
@@ -214,21 +250,15 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     # order); exact_worst_case stays in the report as a tightness
     # reference, not a floor.
     bound = estimate_bound(app, arch, certified, k)
-    start, stop = chunk_bounds(total, int(params["chunk"]),
-                               int(params["chunks"]))
     sweep = ScenarioSweep(app, arch, result.mapping, result.policies,
                           fault_model, schedule)
-    stats = VerificationStats()
-    for outcome in sweep.results(start, stop):
-        stats.observe(outcome, transparency)
+    window = sweep_window(sweep, transparency, int(params["chunk"]),
+                          int(params["chunks"]))
 
     cache_stats = pool.stats()
-    return {
+    payload = {
         "chunk": int(params["chunk"]),
-        "scenarios_total": total,
-        "start": start,
-        "stop": stop,
-        "stats": stats.to_jsonable(),
+        **window,
         "cache_hits": cache_stats.estimates.hits,
         "cache_misses": cache_stats.estimates.misses,
         "estimate": result.estimate.schedule_length,
@@ -241,6 +271,10 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
         "processes": len(app.process_names),
         "nodes": len(arch.node_names),
     }
+    if "des_scenarios" in params and int(params["chunk"]) == 0:
+        payload["des"] = run_des_scenarios(
+            app, arch, result, fault_model, schedule, params)
+    return payload
 
 
 #: Scalars every chunk of one verification must agree on (they all
@@ -271,8 +305,8 @@ class VerifyReport:
     cache_misses: int = 0
     executed_chunks: int = 0
     resumed_chunks: int = 0
-    #: One-shot DES scenario section (:func:`run_des_scenarios`),
-    #: None when ``des_scenarios`` was 0.
+    #: One-shot DES scenario section (:func:`run_des_scenarios`, run
+    #: by chunk 0), None when ``des_scenarios`` was 0.
     des: dict | None = None
 
     @property
@@ -398,7 +432,8 @@ class VerifyReport:
 def merge_verify_cells(config: VerifyConfig, cells: list[dict],
                        executed: int = 0, resumed: int = 0,
                        ) -> VerifyReport:
-    """Fold chunk results into one report (exposed for campaigns)."""
+    """Fold chunk results into one report (exposed for campaigns);
+    the DES section, if any, is chunk 0's."""
     first = cells[0]
     for cell in cells[1:]:
         for key in _CONSISTENT_KEYS:
@@ -428,32 +463,32 @@ def merge_verify_cells(config: VerifyConfig, cells: list[dict],
                          for c in cells),
         executed_chunks=executed,
         resumed_chunks=resumed,
+        des=first.get("des"),
     )
 
 
-def run_des_scenarios(config: VerifyConfig) -> dict:
-    """Execute the config's DES-only scenarios one-shot (parent-side).
+def run_des_scenarios(app: Application, arch: Architecture,
+                      result: StrategyResult, fault_model: FaultModel,
+                      schedule: ScheduleSet,
+                      params: Mapping[str, object]) -> dict:
+    """Execute a verify chunk's DES-only scenarios one-shot.
 
-    The sharded sweep covers the table-expressible enumeration;
+    The scenario windows cover the table-expressible enumeration;
     intermittent windows, corrupted slots and jitter live outside it,
-    so these scenarios are sampled (seed-derived, deterministic),
-    extended with the configured axes, and run straight through
-    :class:`repro.des.core.DesSimulator`. Returns the JSON-able
-    section stored in :attr:`VerifyReport.des`.
+    so ``params["des_scenarios"]`` scenarios are sampled
+    (seed-derived, deterministic), extended with the configured axes,
+    and run straight through :class:`repro.des.core.DesSimulator` on
+    the chunk's design and tables. Returns the JSON-able section
+    stored in :attr:`VerifyReport.des`.
     """
-    app, arch, __ = load_verify_workload(config.workload)
-    fault_model = FaultModel(k=config.k)
-    pool = EvaluatorPool()
-    result = synthesize_campaign_design(
-        app, arch, config.k, config.strategy, config.settings,
-        config.seed, pool=pool)
-    evaluator = pool.evaluator_for(app, arch, fault_model)
-    schedule = evaluator.exact_schedule(
-        result.policies, result.mapping,
-        max_contexts=config.max_contexts)
+    seed = int(params["seed"])
+    axes = {"intermittent": params["intermittent"],
+            "jitter": params["jitter"],
+            "slot_faults": params["slot_faults"]}
     base_plans = sample_fault_plans(
-        app, result.policies, config.k, config.des_scenarios,
-        seed=derive_seed(config.seed, "verify-des"),
+        app, result.policies, fault_model.k,
+        int(params["des_scenarios"]),
+        seed=derive_seed(seed, "verify-des"),
         include_fault_free=False)
     plans = extend_fault_plans(
         base_plans,
@@ -462,10 +497,8 @@ def run_des_scenarios(config: VerifyConfig) -> dict:
         horizon=schedule.worst_case_length,
         round_length=arch.bus.round_length,
         slots_per_round=len(arch.bus.slot_order),
-        intermittent=config.intermittent,
-        slot_faults=config.slot_faults,
-        jitter=config.jitter,
-        seed=derive_seed(config.seed, "verify-des-axes"))
+        seed=derive_seed(seed, "verify-des-axes"),
+        **axes)
     simulator = DesSimulator(app, arch, result.mapping, result.policies,
                              fault_model, schedule)
     failures = 0
@@ -483,11 +516,7 @@ def run_des_scenarios(config: VerifyConfig) -> dict:
         else:
             worst = max(worst, outcome.makespan)
     return {
-        "axes": {
-            "intermittent": config.intermittent,
-            "jitter": config.jitter,
-            "slot_faults": config.slot_faults,
-        },
+        "axes": axes,
         "error_samples": samples,
         "failures": failures,
         "scenarios": len(plans),
@@ -502,16 +531,13 @@ def run_verification(config: VerifyConfig, *,
                      ) -> VerifyReport:
     """Run (or resume) one verification through the batch engine.
 
-    When ``config.des_scenarios > 0``, the sharded table-expressible
-    sweep is followed by a one-shot DES pass over the sampled
-    beyond-hypothesis scenarios; its section lands in
-    :attr:`VerifyReport.des` (reported, not certificate-gating).
+    When ``config.des_scenarios > 0``, chunk 0 also runs a one-shot
+    DES pass over the sampled beyond-hypothesis scenarios; its section
+    lands in :attr:`VerifyReport.des` (reported, not
+    certificate-gating).
     """
     engine = BatchEngine(engine_config or EngineConfig())
     batch = engine.run(verify_jobs(config), progress=progress)
-    report = merge_verify_cells(config, batch.results(),
-                                executed=batch.executed,
-                                resumed=batch.resumed)
-    if config.des_scenarios > 0:
-        report.des = run_des_scenarios(config)
-    return report
+    return merge_verify_cells(config, batch.results(),
+                              executed=batch.executed,
+                              resumed=batch.resumed)

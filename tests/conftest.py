@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.model import (
@@ -84,3 +86,32 @@ def uniform_reexec():
 def fm2() -> FaultModel:
     """Fault model with k = 2."""
     return FaultModel(k=2)
+
+
+@pytest.fixture
+def derivations(monkeypatch) -> Counter:
+    """Counts design derivations of the campaign and verify runners:
+    seed-derived tabu runs (``synthesize_campaign_design``, wherever a
+    runner looks it up) and exact table builds
+    (``eval.core.synthesize_schedule``). No disk cache may serve a
+    table in between."""
+    import repro.campaigns.runner as campaign_runner
+    import repro.eval.core as eval_core
+    import repro.verify.runner as verify_runner
+    from repro.eval.diskcache import CACHE_DIR_ENV
+
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    calls: Counter = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(campaign_runner, "synthesize_campaign_design")
+    counting(verify_runner, "synthesize_campaign_design")
+    counting(eval_core, "synthesize_schedule")
+    return calls

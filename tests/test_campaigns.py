@@ -15,6 +15,7 @@ pipeline rests on:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -31,6 +32,7 @@ from repro.campaigns import (
     run_campaign,
     sample_campaign_plans,
 )
+from repro.cli import main as cli_main
 from repro.engine import EngineConfig
 from repro.errors import PolicyError
 from repro.ftcpg.scenarios import count_fault_plans, iter_fault_plans
@@ -43,6 +45,14 @@ from repro.workloads import GeneratorConfig, generate_workload
 
 QUICK = dict(workload={"processes": 5, "nodes": 2, "seed": 3}, k=2,
              samples=20, chunks=2, sampler="stratified")
+
+#: The CI smoke's certified campaign; its reports are pinned by
+#: SHA-256 below.
+CERTIFY_COMMAND = [
+    "campaign", "--processes", "6", "--nodes", "2", "--seed", "1",
+    "--k", "2", "--sampler", "stratified", "--samples", "50",
+    "--certify", "--workers", "1", "--no-resume",
+]
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +220,8 @@ class TestCampaignRunner:
             CampaignConfig(chunks=0)
         with pytest.raises(ValueError, match="k must"):
             CampaignConfig(k=-1)
+        with pytest.raises(ValueError, match="certify_max_scenarios"):
+            CampaignConfig(certify_max_scenarios=0)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign preset"):
@@ -295,6 +307,67 @@ class TestCampaignRunner:
         assert report.to_jsonable()["verification"]["skipped"]
         assert any("SKIPPED" in line
                    for line in report.summary_lines())
+
+    def test_certified_campaign_derives_each_design_once(
+            self, derivations):
+        """One engine run: every chunk runs tabu and builds tables
+        once, for its sampled plans and its certificate window."""
+        config = CampaignConfig(**{**QUICK, "chunks": 3}, certify=True)
+        report = run_campaign(config,
+                              engine_config=EngineConfig(workers=1))
+        assert report.verification.ok
+        assert derivations == {"synthesize_campaign_design": 3,
+                               "synthesize_schedule": 3}
+
+    def test_certifying_run_reruns_plain_journal(self, tmp_path):
+        engine = EngineConfig(workers=1,
+                              checkpoint_path=tmp_path / "c.jsonl")
+        plain_config = CampaignConfig(**QUICK)
+        plain = run_campaign(plain_config, engine_config=engine)
+        assert plain.executed_chunks == plain_config.chunks
+        # Plain chunks carry no certificate: their params differ, so
+        # none of them is merged into a certifying run.
+        config = CampaignConfig(**QUICK, certify=True)
+        certified = run_campaign(config, engine_config=engine)
+        assert certified.executed_chunks == config.chunks
+        assert certified.verification.ok
+        resumed = run_campaign(config, engine_config=engine)
+        assert resumed.resumed_chunks == config.chunks
+        assert resumed.executed_chunks == 0
+        assert resumed.to_json() == certified.to_json()
+        # ... and the plain records still serve a plain run.
+        again = run_campaign(plain_config, engine_config=engine)
+        assert again.resumed_chunks == plain_config.chunks
+        assert again.to_json() == plain.to_json()
+
+    def test_certified_campaign_on_workdir_backend(self, tmp_path):
+        config = CampaignConfig(**QUICK, certify=True)
+        serial = run_campaign(config,
+                              engine_config=EngineConfig(workers=1))
+        workdir = run_campaign(config, engine_config=EngineConfig(
+            backend="workdir", workdir=tmp_path / "wd"))
+        assert workdir.verification is not None
+        assert workdir.to_json() == serial.to_json()
+
+    @pytest.mark.parametrize("extra, digest", [
+        (["--chunks", "1"], "d54e3c0220d049a970ed7a87f6e19479"
+                            "864f270dbcddef6ab6d88fd094e2d627"),
+        (["--chunks", "3"], "1e94d3add6e80b4fe24a4f98743fe03a"
+                            "72d8edaa7bfc4234be31cabe9b83359d"),
+        # Beyond the scenario budget: the certificate is skipped.
+        (["--chunks", "3", "--certify-max-scenarios", "1"],
+         "a85932a8f835c1f82502ea8a227c8855"
+         "d33bae237f2222443d2fde3a12577a3a"),
+    ])
+    def test_certified_report_bytes_pinned(self, tmp_path, capsys,
+                                           extra, digest):
+        """Report bytes of the certified CI smoke campaign at two
+        chunk layouts and with the certificate skipped."""
+        out = tmp_path / "campaign.json"
+        assert cli_main(CERTIFY_COMMAND + extra
+                        + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_exhaustive_campaign_matches_verify_count(self):
         config = CampaignConfig(

@@ -249,6 +249,10 @@ class TestEngineFlagValidation:
         ["dse", "--lease-size", "0"],
         ["campaign", "--lease-timeout", "0"],
         ["worker", "--workdir", "wd", "--lease-timeout", "-1"],
+        # Scenario ceilings below 1 die before any work runs.
+        ["verify", "--max-scenarios", "0"],
+        ["campaign", "--certify", "--certify-max-scenarios", "0"],
+        ["dse", "--verify-frontier", "--verify-max-scenarios", "0"],
     ])
     def test_bad_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

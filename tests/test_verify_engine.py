@@ -17,10 +17,13 @@ Three layers:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+import repro.verify.runner as verify_runner
+from repro.cli import main as cli_main
 from repro.engine import EngineConfig
 from repro.errors import ToleranceViolationError
 from repro.ftcpg.scenarios import (
@@ -81,6 +84,14 @@ QUICK_SETTINGS = TabuSettings(iterations=4, neighborhood=4,
                               bus_contention=False)
 QUICK = dict(workload={"processes": 5, "nodes": 2, "seed": 1}, k=2,
              chunks=3, settings=QUICK_SETTINGS)
+
+#: A generated-workload verification with DES scenarios; its reports
+#: are pinned by SHA-256 below.
+DES_COMMAND = [
+    "verify", "--processes", "6", "--nodes", "2", "--seed", "1",
+    "--k", "2", "--des-scenarios", "10", "--jitter", "0.5",
+    "--workers", "1", "--no-resume",
+]
 
 
 class TestScenarioSweep:
@@ -372,6 +383,85 @@ class TestVerifyRunner:
             VerifyConfig(k=-1)
         with pytest.raises(ValueError, match="max_scenarios"):
             VerifyConfig(max_scenarios=0)
+
+    def test_des_scenarios_derive_each_design_once(self, derivations):
+        config = VerifyConfig(**QUICK, des_scenarios=5)
+        report = run_verification(
+            config, engine_config=EngineConfig(workers=1))
+        assert report.des["scenarios"] == 5
+        assert derivations == {"synthesize_campaign_design": 3,
+                               "synthesize_schedule": 3}
+
+    def test_des_pass_runs_on_certified_tables(self, monkeypatch):
+        """The DES pass simulates the transparency-aware tables the
+        certificate covers, not a transparency-free rebuild."""
+        schedules = []
+
+        class Spy(verify_runner.DesSimulator):
+            def __init__(self, app, arch, mapping, policies,
+                         fault_model, schedule):
+                schedules.append(schedule)
+                super().__init__(app, arch, mapping, policies,
+                                 fault_model, schedule)
+
+        monkeypatch.setattr(verify_runner, "DesSimulator", Spy)
+        config = VerifyConfig(workload={"preset": "bbw"}, k=1,
+                              chunks=2, settings=QUICK_SETTINGS,
+                              des_scenarios=3)
+        report = run_verification(
+            config, engine_config=EngineConfig(workers=1))
+        assert len(schedules) == 1
+        assert schedules[0].worst_case_length \
+            == report.exact_worst_case
+
+    def test_des_section_worker_and_layout_invariant(self):
+        config = VerifyConfig(**QUICK, des_scenarios=6, jitter=0.5)
+        serial = run_verification(
+            config, engine_config=EngineConfig(workers=1))
+        parallel = run_verification(
+            config, engine_config=EngineConfig(workers=2))
+        assert serial.to_json() == parallel.to_json()
+        assert serial.des["scenarios"] == 6
+        # The DES section is chunk 0's, whatever the chunk layout.
+        single = run_verification(
+            VerifyConfig(**{**QUICK, "chunks": 1}, des_scenarios=6,
+                         jitter=0.5),
+            engine_config=EngineConfig(workers=1))
+        assert single.des == serial.des
+
+    def test_des_run_reruns_plain_journal(self, tmp_path):
+        engine = EngineConfig(workers=1,
+                              checkpoint_path=tmp_path / "v.jsonl")
+        plain_config = VerifyConfig(**QUICK)
+        plain = run_verification(plain_config, engine_config=engine)
+        assert plain.executed_chunks == plain_config.chunks
+        # Plain chunk 0 carries no DES section: the params differ, so
+        # no plain chunk is merged into a run with DES scenarios.
+        config = VerifyConfig(**QUICK, des_scenarios=4)
+        des = run_verification(config, engine_config=engine)
+        assert des.executed_chunks == config.chunks
+        assert des.des["scenarios"] == 4
+        resumed = run_verification(config, engine_config=engine)
+        assert resumed.resumed_chunks == config.chunks
+        assert resumed.executed_chunks == 0
+        assert resumed.to_json() == des.to_json()
+        again = run_verification(plain_config, engine_config=engine)
+        assert again.resumed_chunks == plain_config.chunks
+        assert again.to_json() == plain.to_json()
+
+    @pytest.mark.parametrize("chunks, digest", [
+        ("1", "dd288c63f4c04caa33c5694ef44f7d96"
+              "8f3461f9cf58a5c8e6ae6169c8804d53"),
+        ("3", "21ed9002c6c9c5d9f6c6ecb550b9d8c2"
+              "e47d4cb10370c7c1fa21881c768754d9"),
+    ])
+    def test_des_report_bytes_pinned(self, tmp_path, capsys, chunks,
+                                     digest):
+        out = tmp_path / "verify.json"
+        assert cli_main(DES_COMMAND + ["--chunks", chunks,
+                                       "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_report_json_export(self, tmp_path):
         config = VerifyConfig(**QUICK)
