@@ -11,9 +11,10 @@ Two measurements on a Fig. 7-scale workload:
   and the run asserts the incremental path beats full re-evaluation
   by the pinned ratio floor below.
 * **end-to-end** — one full ``synthesize()`` with the evaluation
-  core's incremental path on vs forced off; the results (including
-  the tabu trajectory) must be bit-identical, and the incremental run
-  must not be slower.
+  core's incremental path, and once more with
+  ``EstimatorState.reevaluate`` replaced by the full recompute (the
+  oracle); the results (including the tabu trajectory) must be
+  bit-identical, and the incremental run must be faster.
 
 Run:  pytest benchmarks/bench_incremental_eval.py --benchmark-only
 
@@ -24,6 +25,9 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
+
+import pytest
 
 from repro.eval import Evaluator, EvaluatorPool, ScheduleProblem
 from repro.model import FaultModel
@@ -57,6 +61,23 @@ SETTINGS = TabuSettings(iterations=16, neighborhood=12,
 #: the full path got ~25-40% faster; both absolute rates and the
 #: ratio improved against the previous pin's commit.
 MIN_SPEEDUP = 1.15
+
+
+@contextmanager
+def _full_recompute():
+    """Inside the block, ``EstimatorState.reevaluate`` returns the
+    full ``EstimatorState.compute`` of the moved solution: every
+    ``Evaluator.estimate_move`` miss takes the oracle path."""
+    def full(state, policies, mapping, changed):
+        return EstimatorState.compute(
+            state.app, state.arch, mapping, policies,
+            FaultModel(k=state.k), priorities=state.priorities,
+            bus_contention=state.bus_contention,
+            slack_sharing=state.slack_sharing)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EstimatorState, "reevaluate", full)
+        yield
 
 
 def _workload():
@@ -152,30 +173,35 @@ def test_synthesize_end_to_end_identical_and_faster(benchmark):
     fm = FaultModel(k=k)
 
     # Trajectory identity: the tabu search walks the exact same
-    # history with the incremental path on and forced off.
+    # history with the incremental path and with the full recompute.
     problem = ScheduleProblem.for_workload(app, arch, fm)
     policies = PolicyAssignment.uniform(app,
                                         ProcessPolicy.re_execution(k))
     start = (policies, initial_mapping(app, arch, policies))
-    histories = []
-    for incremental in (True, False):
+
+    def history():
         search = TabuSearch(
             app, arch, fm, settings=SETTINGS,
             policy_space=policy_candidates(app, k,
                                            allow_combined=k >= 2),
-            evaluator=Evaluator(problem, incremental=incremental))
-        histories.append(search.optimize(start).history)
-    assert histories[0] == histories[1], \
+            evaluator=Evaluator(problem))
+        return search.optimize(start).history
+
+    incremental_history = history()
+    with _full_recompute():
+        full_history = history()
+    assert incremental_history == full_history, \
         "incremental evaluation changed the tabu trajectory"
 
     started = time.perf_counter()
-    full = synthesize(app, arch, fm, "MXR", settings=SETTINGS,
-                      cache=EvaluatorPool(incremental=False))
+    with _full_recompute():
+        full = synthesize(app, arch, fm, "MXR", settings=SETTINGS,
+                          cache=EvaluatorPool())
     full_time = time.perf_counter() - started
 
     incremental = benchmark.pedantic(
         lambda: synthesize(app, arch, fm, "MXR", settings=SETTINGS,
-                           cache=EvaluatorPool(incremental=True)),
+                           cache=EvaluatorPool()),
         rounds=1, iterations=1)
     incremental_time = benchmark.stats.stats.total
 

@@ -30,7 +30,6 @@ Quick start::
 
 from repro.errors import (
     ContextExplosionError,
-    DeadlineMissError,
     MappingError,
     ModelError,
     PolicyError,
@@ -78,13 +77,11 @@ from repro.schedule import (
     estimate_ft_schedule,
     fault_tolerance_overhead,
     render_schedule_set,
-    schedule_fault_free,
     synthesize_schedule,
 )
 from repro.runtime import simulate, verify_tolerance
 from repro.synthesis import (
     StrategyResult,
-    SystemConfiguration,
     TabuSettings,
     nft_baseline,
     synthesize,
@@ -108,7 +105,6 @@ __all__ = [
     "CopyExecution",
     "CopyMapping",
     "CopyPlan",
-    "DeadlineMissError",
     "DesignEvaluation",
     "Evaluator",
     "EvaluatorPool",
@@ -133,7 +129,6 @@ __all__ = [
     "SimulationError",
     "StrategyResult",
     "SynthesisError",
-    "SystemConfiguration",
     "TabuSettings",
     "ToleranceViolationError",
     "Transparency",
@@ -147,7 +142,6 @@ __all__ = [
     "merge_applications",
     "nft_baseline",
     "render_schedule_set",
-    "schedule_fault_free",
     "simulate",
     "synthesize",
     "synthesize_schedule",

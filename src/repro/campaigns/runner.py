@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.campaigns.sampling import (
     SAMPLERS,
@@ -157,12 +157,36 @@ class CampaignConfig:
     @property
     def label(self) -> str:
         """Stable id component naming the workload."""
-        preset = self.workload.get("preset")
-        if preset is not None:
-            return str(preset)
-        return (f"gen{self.workload.get('processes', 8)}p"
-                f"{self.workload.get('nodes', 2)}n"
-                f"s{self.workload.get('seed', 1)}")
+        return workload_label(self.workload)
+
+
+def workload_label(spec: Mapping[str, object]) -> str:
+    """Stable id component naming a workload spec.
+
+    The generator fallbacks mirror :func:`load_campaign_workload`'s
+    defaults, so the label names the instance actually run.
+    """
+    preset = spec.get("preset")
+    if preset is not None:
+        return str(preset)
+    return (f"gen{spec.get('processes', 8)}p{spec.get('nodes', 2)}n"
+            f"s{spec.get('seed', 1)}")
+
+
+def check_chunks_agree(cells: Sequence[Mapping[str, object]],
+                       keys: Iterable[str], command: str) -> None:
+    """Raise :class:`RuntimeError` unless every chunk payload carries
+    the first chunk's value under each of ``keys`` — scalars all
+    chunks derive from the same config, so a mismatch means a chunk
+    runner broke purity."""
+    first = cells[0]
+    for cell in cells[1:]:
+        for key in keys:
+            if cell[key] != first[key]:
+                raise RuntimeError(
+                    f"{command} chunks disagree on {key!r}: "
+                    f"{cell[key]!r} != {first[key]!r} — a chunk "
+                    "runner is not a pure function of the config")
 
 
 def load_campaign_workload(spec: Mapping[str, object],
@@ -581,14 +605,8 @@ def run_campaign(config: CampaignConfig, *,
     batch = engine.run(campaign_jobs(config), progress=progress)
     cells = batch.results()
 
+    check_chunks_agree(cells, _CONSISTENT_KEYS, "campaign")
     first = cells[0]
-    for cell in cells[1:]:
-        for key in _CONSISTENT_KEYS:
-            if cell[key] != first[key]:
-                raise RuntimeError(
-                    f"campaign chunks disagree on {key!r}: "
-                    f"{cell[key]!r} != {first[key]!r} — a chunk "
-                    "runner is not a pure function of the seed")
 
     verification = None
     certify_skipped = None

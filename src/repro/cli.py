@@ -72,7 +72,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.campaigns import (
     PRESET_WORKLOADS,
@@ -107,7 +107,7 @@ from repro.experiments.reporting import (
     cache_stats_from_cells,
     render_rows,
 )
-from repro.model import Application, Architecture, FaultModel, Transparency
+from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.schedule import (
     render_schedule_set,
@@ -116,28 +116,16 @@ from repro.schedule import (
 )
 from repro.synthesis import TabuSettings, initial_mapping, synthesize
 from repro.verify import VerifyConfig, run_verification
-from repro.workloads import (
-    SIMPLE_PRESETS,
-    GeneratorConfig,
-    brake_by_wire,
-    fig5_example,
-    generate_workload,
-)
+from repro.verify.runner import load_verify_workload
+from repro.workloads import SIMPLE_PRESETS, fig5_example
 
 
-def _load_workload(args) -> tuple[Application, Architecture,
-                                  Transparency | None]:
-    if args.preset == "fig5":
-        app, arch, __, transparency, ___ = fig5_example()
-        return app, arch, transparency
-    if args.preset == "bbw":
-        return brake_by_wire()
-    if args.preset in SIMPLE_PRESETS:
-        app, arch = SIMPLE_PRESETS[args.preset]()
-        return app, arch, None
-    app, arch = generate_workload(GeneratorConfig(
-        processes=args.processes, nodes=args.nodes, seed=args.seed))
-    return app, arch, None
+def _workload_spec(args) -> dict:
+    """The declarative workload spec of the workload flags."""
+    if args.preset is not None:
+        return {"preset": args.preset}
+    return {"processes": args.processes, "nodes": args.nodes,
+            "seed": args.seed}
 
 
 def _settings(args) -> TabuSettings:
@@ -194,7 +182,7 @@ def _validate_engine_flags(parser: argparse.ArgumentParser,
 
 
 def _cmd_synth(args) -> int:
-    app, arch, __ = _load_workload(args)
+    app, arch, __ = load_verify_workload(_workload_spec(args))
     fault_model = FaultModel(k=args.k)
     result = synthesize(app, arch, fault_model, args.strategy,
                         settings=_settings(args))
@@ -220,7 +208,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    app, arch, transparency = _load_workload(args)
+    app, arch, transparency = load_verify_workload(_workload_spec(args))
     fault_model = FaultModel(k=args.k)
     policies = PolicyAssignment.uniform(
         app, ProcessPolicy.re_execution(args.k))
@@ -235,13 +223,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.preset is not None:
-        workload: dict = {"preset": args.preset}
-    else:
-        workload = {"processes": args.processes, "nodes": args.nodes,
-                    "seed": args.seed}
     config = VerifyConfig(
-        workload=workload,
+        workload=_workload_spec(args),
         k=args.k,
         strategy=args.strategy,
         chunks=args.chunks,
@@ -349,13 +332,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    if args.preset is not None:
-        workload: dict = {"preset": args.preset}
-    else:
-        workload = {"processes": args.processes, "nodes": args.nodes,
-                    "seed": args.seed}
     config = CampaignConfig(
-        workload=workload,
+        workload=_workload_spec(args),
         k=args.k,
         strategy=args.strategy,
         sampler=args.sampler,
@@ -392,13 +370,8 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_dse(args) -> int:
-    if args.preset is not None:
-        workload: dict = {"preset": args.preset}
-    else:
-        workload = {"processes": args.processes, "nodes": args.nodes,
-                    "seed": args.seed}
     config = DseConfig(
-        workload=workload,
+        workload=_workload_spec(args),
         space=SpaceConfig(
             strategies=tuple(args.strategies),
             k_values=tuple(args.k),
@@ -490,30 +463,32 @@ full reference: docs/cli.md
 """
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: integer >= 1, rejected at parse time."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a value >= 1, got {value}")
-    return value
+def _ranged(kind: type, low: float, *,
+            strict: bool = False) -> Callable[[str], float]:
+    """Argparse type: a ``kind`` (int or float) value ``>= low``, or
+    ``> low`` when ``strict``. Out-of-range values die at parse time
+    with a usage error instead of a traceback from a config
+    constructor (NaN is out of every range)."""
+    noun = "an integer" if kind is int else "a number"
+    bound = f"{'>' if strict else '>='} {low}"
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {noun}, got {text!r}") from None
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"expected a value {bound}, got {text}")
+        return value
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """Argparse type: float > 0, rejected at parse time."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a value > 0, got {text}")
-    return value
+_positive_int = _ranged(int, 1)
+_nonnegative_int = _ranged(int, 0)
+_positive_float = _ranged(float, 0, strict=True)
+_nonnegative_float = _ranged(float, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,10 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use a built-in workload instead of a "
                             "synthetic one (fig5 and bbw carry "
                             "transparency requirements)")
-        p.add_argument("--processes", type=int, default=12)
-        p.add_argument("--nodes", type=int, default=3)
+        p.add_argument("--processes", type=_positive_int, default=12)
+        p.add_argument("--nodes", type=_positive_int, default=3)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--k", type=int, default=2,
+        p.add_argument("--k", type=_nonnegative_int, default=2,
                        help="transient fault budget per cycle")
 
     def add_search_args(p):
@@ -634,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, metavar="PATH",
                           help="write the canonical JSON "
                                "verification report")
-    p_verify.add_argument("--des-scenarios", type=int, default=0,
+    p_verify.add_argument("--des-scenarios", type=_nonnegative_int, default=0,
                           metavar="N",
                           help="additionally run N sampled scenarios "
                                "extended with DES-only fault axes "
@@ -642,15 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
                                "(reported, but beyond the k-fault "
                                "hypothesis, so they do not gate the "
                                "certificate)")
-    p_verify.add_argument("--intermittent", type=int, default=1,
+    p_verify.add_argument("--intermittent", type=_nonnegative_int, default=1,
                           metavar="N",
                           help="intermittent fault windows per DES "
                                "scenario")
-    p_verify.add_argument("--slot-faults", type=int, default=1,
+    p_verify.add_argument("--slot-faults", type=_nonnegative_int, default=1,
                           metavar="N",
                           help="corrupted TDMA slot occurrences per "
                                "DES scenario")
-    p_verify.add_argument("--jitter", type=float, default=0.0,
+    p_verify.add_argument("--jitter", type=_nonnegative_float,
+                          default=0.0,
                           metavar="T",
                           help="maximum per-process release jitter "
                                "for DES scenarios (0 disables)")
@@ -694,12 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="use a built-in workload instead of a "
                              "synthetic one")
-    p_camp.add_argument("--processes", type=int, default=8)
-    p_camp.add_argument("--nodes", type=int, default=2)
+    p_camp.add_argument("--processes", type=_positive_int, default=8)
+    p_camp.add_argument("--nodes", type=_positive_int, default=2)
     p_camp.add_argument("--seed", type=int, default=1,
                         help="workload seed; also seeds the campaign's "
                              "derived tabu/sampling streams")
-    p_camp.add_argument("--k", type=int, default=2,
+    p_camp.add_argument("--k", type=_nonnegative_int, default=2,
                         help="transient fault budget per cycle")
     p_camp.add_argument("--strategy", default="MXR",
                         choices=("MXR", "MX", "MR", "SFX", "MC",
@@ -709,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--sampler", choices=SAMPLERS,
                         default="stratified",
                         help="fault-plan sampling strategy")
-    p_camp.add_argument("--samples", type=int, default=200,
+    p_camp.add_argument("--samples", type=_nonnegative_int, default=200,
                         help="faulty plans to sample (ignored by the "
                              "exhaustive sampler)")
     p_camp.add_argument("--chunks", type=_positive_int, default=4,
@@ -742,17 +718,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the certificate (keeping the "
                              "sampled report) when the design has "
                              "more fault scenarios than this")
-    p_camp.add_argument("--intermittent", type=int, default=0,
+    p_camp.add_argument("--intermittent", type=_nonnegative_int, default=0,
                         metavar="N",
                         help="extend every sampled faulty plan with "
                              "N intermittent fault windows and route "
                              "the campaign through the event-driven "
                              "simulator")
-    p_camp.add_argument("--slot-faults", type=int, default=0,
+    p_camp.add_argument("--slot-faults", type=_nonnegative_int, default=0,
                         metavar="N",
                         help="corrupted TDMA slot occurrences per "
                              "sampled faulty plan (DES-only axis)")
-    p_camp.add_argument("--jitter", type=float, default=0.0,
+    p_camp.add_argument("--jitter", type=_nonnegative_float,
+                        default=0.0,
                         metavar="T",
                         help="maximum per-process release jitter per "
                              "sampled faulty plan (DES-only axis; "
@@ -768,12 +745,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="use a built-in workload instead of a "
                             "synthetic one")
-    p_dse.add_argument("--processes", type=int, default=8)
-    p_dse.add_argument("--nodes", type=int, default=2)
+    p_dse.add_argument("--processes", type=_positive_int, default=8)
+    p_dse.add_argument("--nodes", type=_positive_int, default=2)
     p_dse.add_argument("--seed", type=int, default=1,
                        help="workload seed; also seeds the derived "
                             "tabu and transparency-sampling streams")
-    p_dse.add_argument("--k", type=int, nargs="+", default=[2],
+    p_dse.add_argument("--k", type=_positive_int, nargs="+", default=[2],
                        metavar="K",
                        help="fault budget(s) to explore; designs are "
                             "only comparable at equal k, so each "
@@ -782,23 +759,24 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=DSE_STRATEGIES,
                        default=list(DSE_STRATEGIES),
                        help="policy strategies to include")
-    p_dse.add_argument("--checkpoint-counts", type=int, nargs="+",
-                       default=[0, 1, 2], metavar="N",
+    p_dse.add_argument("--checkpoint-counts", type=_nonnegative_int,
+                       nargs="+", default=[0, 1, 2], metavar="N",
                        help="uniform checkpoint counts applied to the "
                             "recovering copies (0 keeps the design "
                             "as synthesized)")
-    p_dse.add_argument("--transparency-samples", type=int, default=4,
+    p_dse.add_argument("--transparency-samples", type=_nonnegative_int,
+                       default=4,
                        help="seeded random transparency vectors on "
                             "top of the structured families")
-    p_dse.add_argument("--epsilon-length", type=float,
+    p_dse.add_argument("--epsilon-length", type=_positive_float,
                        default=DEFAULT_EPSILONS[0],
                        help="epsilon-box edge for the schedule-length "
                             "objective (time units)")
-    p_dse.add_argument("--epsilon-transparency", type=float,
+    p_dse.add_argument("--epsilon-transparency", type=_positive_float,
                        default=DEFAULT_EPSILONS[1],
                        help="epsilon-box edge for the transparency "
                             "objective (fraction)")
-    p_dse.add_argument("--epsilon-memory", type=float,
+    p_dse.add_argument("--epsilon-memory", type=_positive_float,
                        default=DEFAULT_EPSILONS[2],
                        help="epsilon-box edge for the FT memory "
                             "objective (bytes)")

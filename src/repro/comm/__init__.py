@@ -3,7 +3,7 @@
 :class:`TdmaBus` turns a static :class:`~repro.model.architecture.BusSpec`
 into slot-timing arithmetic, and :class:`BusReservations` tracks which
 slots a (partial) schedule has already claimed, so several schedulers
-(fault-free list scheduler, conditional scheduler contexts, runtime
+(the slack-sharing estimator, conditional scheduler contexts, runtime
 simulator) share one consistent notion of when a frame can go out.
 """
 

@@ -19,7 +19,7 @@ jitter (:class:`~repro.ftcpg.scenarios.DesFaultPlan`).
   compiled once per design.
 """
 
-from repro.des.core import DesRun, DesSimulator, simulate_des
+from repro.des.core import DesRun, DesSimulator
 from repro.des.events import DesEvent, DesEventKind, render_trace
 from repro.des.online import OnlineEngine
 from repro.des.queue import EventQueue
@@ -32,5 +32,4 @@ __all__ = [
     "EventQueue",
     "OnlineEngine",
     "render_trace",
-    "simulate_des",
 ]

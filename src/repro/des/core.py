@@ -88,22 +88,6 @@ class DesSimulator:
         return DesRun(result=result, events=_table_events(result))
 
 
-def simulate_des(
-    app: Application,
-    arch: Architecture,
-    mapping: CopyMapping,
-    policies: PolicyAssignment,
-    fault_model: FaultModel,
-    schedule: ScheduleSet,
-    plan: FaultPlan | DesFaultPlan,
-) -> SimulationResult:
-    """Functional mirror of :func:`repro.runtime.simulator.simulate`
-    running through the event-driven core."""
-    simulator = DesSimulator(app, arch, mapping, policies, fault_model,
-                             schedule)
-    return simulator.simulate(plan)
-
-
 def _table_events(result: SimulationResult) -> tuple[DesEvent, ...]:
     """Event log of a replayed (table-expressible) scenario.
 
@@ -130,5 +114,4 @@ def _table_events(result: SimulationResult) -> tuple[DesEvent, ...]:
 __all__ = [
     "DesRun",
     "DesSimulator",
-    "simulate_des",
 ]

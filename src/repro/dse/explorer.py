@@ -38,7 +38,11 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.campaigns.runner import load_campaign_workload
+from repro.campaigns.runner import (
+    check_chunks_agree,
+    load_campaign_workload,
+    workload_label,
+)
 from repro.campaigns.sampling import chunk_slice
 from repro.dse.archive import DesignPoint, ParetoArchive
 from repro.dse.space import Candidate, SpaceConfig, enumerate_candidates
@@ -126,12 +130,7 @@ class DseConfig:
     @property
     def label(self) -> str:
         """Stable id component naming the workload."""
-        preset = self.workload.get("preset")
-        if preset is not None:
-            return str(preset)
-        return (f"gen{self.workload.get('processes', 8)}p"
-                f"{self.workload.get('nodes', 2)}n"
-                f"s{self.workload.get('seed', 1)}")
+        return workload_label(self.workload)
 
 
 def dse_jobs(config: DseConfig) -> list[BatchJob]:
@@ -608,14 +607,8 @@ def merge_dse_cells(config: DseConfig, cells: list[dict],
     chunk layout and worker count. With ``config.verify_frontier`` the
     chunks' certificates are attached to the frontier points.
     """
+    check_chunks_agree(cells, _CONSISTENT_KEYS, "dse")
     first = cells[0]
-    for cell in cells[1:]:
-        for key in _CONSISTENT_KEYS:
-            if cell[key] != first[key]:
-                raise RuntimeError(
-                    f"dse chunks disagree on {key!r}: "
-                    f"{cell[key]!r} != {first[key]!r} — a chunk "
-                    "runner is not a pure function of the config")
     archive = ParetoArchive.merged(
         config.epsilons,
         ([DesignPoint.from_jsonable(p) for p in cell["archive"]["points"]]

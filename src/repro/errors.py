@@ -35,16 +35,6 @@ class SchedulingError(ReproError):
     """The scheduler could not produce a valid schedule."""
 
 
-class DeadlineMissError(SchedulingError):
-    """A produced schedule violates the global or a local deadline."""
-
-    def __init__(self, message: str, *, makespan: float | None = None,
-                 deadline: float | None = None) -> None:
-        super().__init__(message)
-        self.makespan = makespan
-        self.deadline = deadline
-
-
 class ContextExplosionError(SchedulingError):
     """The conditional scheduler exceeded its context budget.
 

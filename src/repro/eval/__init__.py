@@ -28,7 +28,6 @@ from repro.eval.core import (
     Evaluator,
     EvaluatorPool,
     EvaluatorStats,
-    incremental_default,
 )
 from repro.eval.diskcache import (
     CACHE_DIR_ENV,
@@ -53,7 +52,6 @@ __all__ = [
     "EvaluatorStats",
     "ScheduleProblem",
     "cache_dir_default",
-    "incremental_default",
     "problem_fingerprint",
     "solution_fingerprint",
 ]

@@ -20,11 +20,10 @@ cheapest to most expensive:
 
 Caching never changes results: every tier memoizes a pure function of
 its key, and the incremental estimate path is bit-identical to the
-full recompute (enforced by tests and
-``benchmarks/bench_incremental_eval.py``). Setting
-``incremental=False`` (or the ``REPRO_EVAL_INCREMENTAL=0``
-environment variable) forces full recomputes — the oracle mode the
-identity tests compare against.
+full recompute ``EstimatorState.compute``. The parity tests in
+``tests/test_eval.py`` and ``benchmarks/bench_incremental_eval.py``
+enforce this by substituting the full recompute for
+``EstimatorState.reevaluate``.
 
 :class:`EvaluatorPool` hands out one :class:`Evaluator` per problem
 fingerprint — the object a sweep cell shares across the NFT baseline
@@ -33,7 +32,6 @@ fingerprint — the object a sweep cell shares across the NFT baseline
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
@@ -64,7 +62,7 @@ from repro.schedule.metrics import (
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import ScheduleSet
 
-#: Default bound on retained estimator states (LRU beyond this).
+#: Bound on retained estimator states (LRU beyond this).
 #: Entries carry the full replay trace (a few KB each at paper
 #: scale), not just an estimate, so the bound is sized to the working
 #: set of the largest paper-profile sweep cell rather than the old
@@ -73,20 +71,8 @@ DEFAULT_MAX_ENTRIES = 50_000
 
 #: Exact schedules and design bundles are orders of magnitude larger
 #: than estimates; their tiers get a correspondingly smaller bound.
+#: Both bounds are read when an :class:`Evaluator` is constructed.
 DEFAULT_MAX_SCHEDULES = 512
-
-
-def incremental_default() -> bool:
-    """Process-wide default for the incremental estimate path.
-
-    ``REPRO_EVAL_INCREMENTAL=0`` (or ``false``/``off``/``no``) forces
-    full re-evaluation everywhere — the oracle mode used by the
-    identity tests and the benchmark baseline. The variable is read
-    per :class:`Evaluator` construction, so worker processes inherit
-    the choice through their environment.
-    """
-    value = os.environ.get("REPRO_EVAL_INCREMENTAL", "1")
-    return value.strip().lower() not in ("0", "false", "off", "no")
 
 
 @dataclass(frozen=True)
@@ -170,7 +156,7 @@ class _LruTier:
 
     __slots__ = ("_entries", "_max_entries", "hits", "misses")
 
-    def __init__(self, max_entries: int | None) -> None:
+    def __init__(self, max_entries: int) -> None:
         self._entries: OrderedDict = OrderedDict()
         self._max_entries = max_entries
         self.hits = 0
@@ -187,18 +173,12 @@ class _LruTier:
 
     def put(self, key, value) -> None:
         self._entries[key] = value
-        if (self._max_entries is not None
-                and len(self._entries) > self._max_entries):
+        if len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
 
     def stats(self) -> CacheStats:
         return CacheStats(hits=self.hits, misses=self.misses,
                           entries=len(self._entries))
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -221,17 +201,11 @@ class Evaluator:
     """
 
     def __init__(self, problem: ScheduleProblem, *,
-                 max_entries: int | None = DEFAULT_MAX_ENTRIES,
-                 max_schedules: int | None = DEFAULT_MAX_SCHEDULES,
-                 incremental: bool | None = None,
                  disk: DiskCache | None = None) -> None:
         self._problem = problem
-        self._estimates = _LruTier(max_entries)
-        self._schedules = _LruTier(max_schedules)
-        self._designs = _LruTier(max_schedules)
-        if incremental is None:
-            incremental = incremental_default()
-        self._incremental = incremental
+        self._estimates = _LruTier(DEFAULT_MAX_ENTRIES)
+        self._schedules = _LruTier(DEFAULT_MAX_SCHEDULES)
+        self._designs = _LruTier(DEFAULT_MAX_SCHEDULES)
         self._disk = disk
         self._disk_problem = (disk.problem_key(problem.fingerprint)
                               if disk is not None else None)
@@ -254,11 +228,6 @@ class Evaluator:
     def problem(self) -> ScheduleProblem:
         """The bound problem context."""
         return self._problem
-
-    @property
-    def incremental(self) -> bool:
-        """Whether estimate_move uses delta re-evaluation."""
-        return self._incremental
 
     # -- tier 1: slack-sharing estimates --------------------------------------
 
@@ -302,8 +271,7 @@ class Evaluator:
         ``changed`` names the single process the move touched. Cache
         hit or not, the returned state is bit-identical to a full
         evaluation of the new solution; on a miss the incremental path
-        replays the parent's trace prefix (unless disabled, in which
-        case the oracle full recompute runs).
+        replays the parent's trace prefix.
         """
         key = (parent.bus_contention, parent.slack_sharing,
                solution_fingerprint(policies, mapping))
@@ -311,17 +279,7 @@ class Evaluator:
         if state is None:
             state = self._disk_get("estimates", key)
             if state is None:
-                if self._incremental:
-                    state = parent.reevaluate(policies, mapping,
-                                              changed)
-                else:
-                    state = EstimatorState.compute(
-                        self._problem.app, self._problem.arch,
-                        mapping, policies,
-                        self._problem.fault_model,
-                        priorities=self._problem.priorities,
-                        bus_contention=parent.bus_contention,
-                        slack_sharing=parent.slack_sharing)
+                state = parent.reevaluate(policies, mapping, changed)
                 self._disk_put("estimates", key, state)
             self._estimates.put(key, state)
         return state
@@ -393,12 +351,6 @@ class Evaluator:
                               schedules=self._schedules.stats(),
                               designs=self._designs.stats())
 
-    def clear(self) -> None:
-        """Drop all entries and counters of every tier."""
-        self._estimates.clear()
-        self._schedules.clear()
-        self._designs.clear()
-
     def __len__(self) -> int:
         return (len(self._estimates) + len(self._schedules)
                 + len(self._designs))
@@ -432,14 +384,7 @@ class EvaluatorPool:
     #: Sentinel: "use the environment-configured default".
     _ENV_DEFAULT = object()
 
-    def __init__(self, *,
-                 max_entries: int | None = DEFAULT_MAX_ENTRIES,
-                 max_schedules: int | None = DEFAULT_MAX_SCHEDULES,
-                 incremental: bool | None = None,
-                 cache_dir: object = _ENV_DEFAULT) -> None:
-        self._max_entries = max_entries
-        self._max_schedules = max_schedules
-        self._incremental = incremental
+    def __init__(self, *, cache_dir: object = _ENV_DEFAULT) -> None:
         if cache_dir is EvaluatorPool._ENV_DEFAULT:
             cache_dir = cache_dir_default()
         self._disk = (DiskCache(cache_dir)  # type: ignore[arg-type]
@@ -460,11 +405,7 @@ class EvaluatorPool:
             app, arch, fault_model, priorities=priorities)
         evaluator = self._evaluators.get(problem.fingerprint)
         if evaluator is None:
-            evaluator = Evaluator(
-                problem, max_entries=self._max_entries,
-                max_schedules=self._max_schedules,
-                incremental=self._incremental,
-                disk=self._disk)
+            evaluator = Evaluator(problem, disk=self._disk)
             self._evaluators[problem.fingerprint] = evaluator
         return evaluator
 
@@ -477,10 +418,6 @@ class EvaluatorPool:
         """Counter-wise sum over all evaluators."""
         return EvaluatorStats.merged(
             e.stats() for e in self._evaluators.values())
-
-    def clear(self) -> None:
-        """Drop every evaluator (and its entries)."""
-        self._evaluators.clear()
 
     def __len__(self) -> int:
         return sum(len(e) for e in self._evaluators.values())

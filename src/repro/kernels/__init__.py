@@ -19,11 +19,11 @@ problem (or one design's schedule) into flat integer-indexed tables
   many fault plans of one design through the table replay with
   delta ground truth and a fault-signature index over the guards.
 
-Bit-identity is the acceptance gate, exactly as for
-``REPRO_EVAL_INCREMENTAL`` (incremental re-evaluation): the
-kernels perform the *identical* IEEE arithmetic in the *identical*
-order as the pure-Python oracle, so every estimate, simulation result,
-report and cache key matches byte for byte. ``REPRO_KERNELS=0``
+Bit-identity is the acceptance gate, as for the incremental
+re-evaluation of :mod:`repro.eval`: the kernels perform the
+*identical* IEEE arithmetic in the *identical* order as the
+pure-Python oracle, so every estimate, simulation result, report and
+cache key matches byte for byte. ``REPRO_KERNELS=0``
 forces the oracle everywhere — the escape hatch the differential
 tests in ``tests/test_oracle.py`` compare against.
 

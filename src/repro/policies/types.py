@@ -233,10 +233,6 @@ class PolicyAssignment:
                 f"policies assigned to unknown processes {sorted(extra)}"
             )
 
-    def copy_count(self, process: str) -> int:
-        """Number of placed copies of a process."""
-        return len(self.of(process).copies)
-
     def total_copies(self) -> int:
         """Total copies over all processes (sizing the copy graph)."""
         return sum(len(p.copies) for p in self._policies.values())

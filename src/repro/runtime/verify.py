@@ -20,6 +20,7 @@ sharded runner raises its own, higher ceiling).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ToleranceViolationError
@@ -62,6 +63,28 @@ class VerificationReport:
             f"violations: {shown}")
 
 
+def _report(results: Iterable[SimulationResult],
+            transparency: Transparency | None) -> VerificationReport:
+    """Fold simulated scenarios into a report, auditing the frozen
+    starts of ``transparency``; failing scenarios keep their full
+    :class:`SimulationResult`."""
+    from repro.verify.stats import VerificationStats
+
+    stats = VerificationStats()
+    failures: list[SimulationResult] = []
+    for result in results:
+        stats.observe(result, transparency)
+        if not result.ok:
+            failures.append(result)
+    return VerificationReport(
+        scenarios=stats.scenarios,
+        worst_makespan=stats.worst_makespan,
+        fault_free_makespan=stats.fault_free_makespan or 0.0,
+        failures=failures,
+        frozen_violations=stats.frozen_violations(),
+    )
+
+
 def verify_tolerance(
     app: Application,
     arch: Architecture,
@@ -75,30 +98,15 @@ def verify_tolerance(
 ) -> VerificationReport:
     """Simulate every fault scenario with at most ``k`` faults."""
     from repro.verify.core import ScenarioSweep
-    from repro.verify.stats import VerificationStats
 
     total = count_fault_plans(app, policies, fault_model.k)
     if total > max_scenarios:
         raise ToleranceViolationError(
             f"{total} fault scenarios exceed the verification limit "
             f"{max_scenarios}; verify a smaller instance")
-    transparency = transparency or Transparency.none()
-
     sweep = ScenarioSweep(app, arch, mapping, policies, fault_model,
                           schedule)
-    stats = VerificationStats()
-    failures: list[SimulationResult] = []
-    for result in sweep.results():
-        stats.observe(result, transparency)
-        if not result.ok:
-            failures.append(result)
-    return VerificationReport(
-        scenarios=stats.scenarios,
-        worst_makespan=stats.worst_makespan,
-        fault_free_makespan=stats.fault_free_makespan or 0.0,
-        failures=failures,
-        frozen_violations=stats.frozen_violations(),
-    )
+    return _report(sweep.results(), transparency)
 
 
 def verify_tolerance_sampled(
@@ -118,31 +126,17 @@ def verify_tolerance_sampled(
     :func:`repro.ftcpg.scenarios.count_fault_plans`).
 
     Simulates the fault-free scenario plus ``samples`` random fault
-    plans within the budget. A passing report is *evidence*, not a
-    proof — use :func:`verify_tolerance` (or the sharded
-    :func:`repro.verify.runner.run_verification`) whenever feasible.
+    plans within the budget, auditing the transparency contract on
+    them exactly as :func:`verify_tolerance` does. A passing report is
+    *evidence*, not a proof — use :func:`verify_tolerance` (or the
+    sharded :func:`repro.verify.runner.run_verification`) whenever
+    feasible.
     """
     from repro.runtime.faults import sample_fault_plans
 
-    transparency = transparency or Transparency.none()
     plans = sample_fault_plans(app, policies, fault_model.k, samples,
                                seed=seed)
-    failures: list[SimulationResult] = []
-    worst = 0.0
-    fault_free = 0.0
-    for plan in plans:
-        result = simulate(app, arch, mapping, policies, fault_model,
-                          schedule, plan)
-        if not result.ok:
-            failures.append(result)
-            continue
-        worst = max(worst, result.makespan)
-        if plan.is_fault_free():
-            fault_free = result.makespan
-    return VerificationReport(
-        scenarios=len(plans),
-        worst_makespan=worst,
-        fault_free_makespan=fault_free,
-        failures=failures,
-        frozen_violations=[],
-    )
+    return _report(
+        (simulate(app, arch, mapping, policies, fault_model, schedule,
+                  plan) for plan in plans),
+        transparency)

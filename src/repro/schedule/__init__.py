@@ -1,13 +1,12 @@
 """Scheduling (paper §5 and §6).
 
-Three schedulers share the same models:
+Two schedulers share the same models:
 
-* :mod:`repro.schedule.list_scheduler` — plain fault-free list
-  scheduling; produces the non-fault-tolerant baseline length used in
-  the FTO metric (paper §6).
 * :mod:`repro.schedule.estimation` — fault-tolerant schedule *length
   estimation* with recovery-slack sharing; the cheap cost function
-  driving design optimization, as in [13].
+  driving design optimization, as in [13]. At ``k = 0`` it is the
+  fault-free list scheduler behind the non-fault-tolerant baseline
+  length of the FTO metric (paper §6).
 * :mod:`repro.schedule.conditional` — the exact quasi-static
   conditional scheduler; explores every fault context and emits the
   conditional schedule tables of paper §5.2 (Fig. 6).
@@ -15,7 +14,6 @@ Three schedulers share the same models:
 
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.priorities import partial_critical_path_priorities
-from repro.schedule.list_scheduler import FaultFreeSchedule, schedule_fault_free
 from repro.schedule.estimation import (
     EstimatorState,
     FtEstimate,
@@ -47,7 +45,6 @@ __all__ = [
     "ConditionalScheduler",
     "CopyMapping",
     "EntryKind",
-    "FaultFreeSchedule",
     "EstimatorState",
     "FtEstimate",
     "FtMemoryOverhead",
@@ -71,6 +68,5 @@ __all__ = [
     "partial_critical_path_priorities",
     "render_node_table",
     "render_schedule_set",
-    "schedule_fault_free",
     "synthesize_schedule",
 ]

@@ -1,6 +1,6 @@
 """Partial-critical-path (PCP) priorities.
 
-All three schedulers order ready work by a static priority: the length
+Both schedulers order ready work by a static priority: the length
 of the longest remaining path from a process to any sink, counting mean
 WCETs and a bus-latency estimate per cross-edge. This is the classic
 PCP priority function used by the authors' list-scheduling framework

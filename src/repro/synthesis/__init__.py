@@ -17,8 +17,7 @@ checkpointing variants used by Fig. 8, and
 optimization of [15] against the per-process [27] baseline.
 """
 
-from repro.synthesis.config import SystemConfiguration
-from repro.synthesis.initial import initial_mapping, initial_solution
+from repro.synthesis.initial import initial_mapping
 from repro.synthesis.moves import PolicyMove, RemapMove
 from repro.synthesis.tabu import TabuSearch, TabuSettings
 from repro.synthesis.strategies import (
@@ -40,12 +39,10 @@ __all__ = [
     "optimize_bus_access",
     "RemapMove",
     "StrategyResult",
-    "SystemConfiguration",
     "TabuSearch",
     "TabuSettings",
     "assign_local_optimal_checkpoints",
     "initial_mapping",
-    "initial_solution",
     "nft_baseline",
     "optimize_checkpoints_globally",
     "synthesize",

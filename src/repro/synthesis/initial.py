@@ -41,10 +41,3 @@ def initial_mapping(app: Application, arch: Architecture,
             loads[choice] += process.wcet_on(choice)
             used_here.add(choice)
     return CopyMapping(assignments)
-
-
-def initial_solution(app: Application, arch: Architecture,
-                     policies: PolicyAssignment,
-                     ) -> tuple[PolicyAssignment, CopyMapping]:
-    """(policies, mapping) starting point for the tabu search."""
-    return policies, initial_mapping(app, arch, policies)

@@ -36,8 +36,10 @@ from pathlib import Path
 from collections.abc import Mapping
 
 from repro.campaigns.runner import (
+    check_chunks_agree,
     load_campaign_workload,
     synthesize_campaign_design,
+    workload_label,
 )
 from repro.campaigns.stats import estimate_bound
 from repro.des.core import DesSimulator
@@ -128,14 +130,7 @@ class VerifyConfig:
     @property
     def label(self) -> str:
         """Stable id component naming the workload."""
-        preset = self.workload.get("preset")
-        if preset is not None:
-            return str(preset)
-        # Fallbacks mirror load_campaign_workload's generator
-        # defaults, so the label names the instance actually verified.
-        return (f"gen{self.workload.get('processes', 8)}p"
-                f"{self.workload.get('nodes', 2)}n"
-                f"s{self.workload.get('seed', 1)}")
+        return workload_label(self.workload)
 
 
 def load_verify_workload(spec: Mapping[str, object],
@@ -434,14 +429,8 @@ def merge_verify_cells(config: VerifyConfig, cells: list[dict],
                        ) -> VerifyReport:
     """Fold chunk results into one report (exposed for campaigns);
     the DES section, if any, is chunk 0's."""
+    check_chunks_agree(cells, _CONSISTENT_KEYS, "verify")
     first = cells[0]
-    for cell in cells[1:]:
-        for key in _CONSISTENT_KEYS:
-            if cell[key] != first[key]:
-                raise RuntimeError(
-                    f"verify chunks disagree on {key!r}: "
-                    f"{cell[key]!r} != {first[key]!r} — a chunk "
-                    "runner is not a pure function of the seed")
     merged = VerificationStats()
     for cell in cells:
         merged.merge(VerificationStats.from_jsonable(cell["stats"]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.model import (
     Process,
 )
 from repro.policies import PolicyAssignment, ProcessPolicy
-from repro.schedule import CopyMapping
+from repro.schedule import CopyMapping, EstimatorState
 
 
 @pytest.fixture
@@ -86,6 +87,38 @@ def uniform_reexec():
 def fm2() -> FaultModel:
     """Fault model with k = 2."""
     return FaultModel(k=2)
+
+
+@pytest.fixture
+def full_recompute(monkeypatch):
+    """Context manager that swaps the incremental estimate path for
+    its oracle: inside the block, ``EstimatorState.reevaluate`` (what
+    every ``Evaluator.estimate_move`` miss runs) returns
+    ``EstimatorState.compute`` of the moved solution. The patch only
+    reaches in-process evaluation, so callers run with one worker,
+    and no disk cache may serve an estimate; the block fails if no
+    miss reached the substitute."""
+    from repro.eval.diskcache import CACHE_DIR_ENV
+
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+
+    @contextmanager
+    def forced():
+        calls = []
+
+        def full(state, policies, mapping, changed):
+            calls.append(changed)
+            return EstimatorState.compute(
+                state.app, state.arch, mapping, policies,
+                FaultModel(k=state.k), priorities=state.priorities,
+                bus_contention=state.bus_contention,
+                slack_sharing=state.slack_sharing)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EstimatorState, "reevaluate", full)
+            yield
+        assert calls, "no estimate_move miss ran the full recompute"
+    return forced
 
 
 @pytest.fixture

@@ -253,6 +253,25 @@ class TestEngineFlagValidation:
         ["verify", "--max-scenarios", "0"],
         ["campaign", "--certify", "--certify-max-scenarios", "0"],
         ["dse", "--verify-frontier", "--verify-max-scenarios", "0"],
+        # Out-of-range workload, fault and DES knobs: a usage error,
+        # not a traceback from a config constructor.
+        ["synth", "--k", "-1"],
+        ["synth", "--processes", "0"],
+        ["verify", "--k", "-1"],
+        ["verify", "--des-scenarios", "-1"],
+        ["verify", "--intermittent", "-1"],
+        ["verify", "--slot-faults", "-1"],
+        ["verify", "--jitter", "-0.5"],
+        ["campaign", "--samples", "-3"],
+        ["campaign", "--jitter", "-1"],
+        ["campaign", "--intermittent", "-1"],
+        ["campaign", "--slot-faults", "-2"],
+        ["dse", "--epsilon-length", "0"],
+        ["dse", "--epsilon-transparency", "-0.1"],
+        ["dse", "--epsilon-memory", "nan"],
+        ["dse", "--checkpoint-counts", "-1"],
+        ["dse", "--transparency-samples", "-2"],
+        ["dse", "--k", "0"],
     ])
     def test_bad_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

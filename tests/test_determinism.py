@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.schedule import (
+    CopyMapping,
     estimate_ft_schedule,
-    schedule_fault_free,
     synthesize_schedule,
 )
 from repro.synthesis import initial_mapping
@@ -59,13 +59,17 @@ class TestDeterminism:
     @RELAXED
     @given(seed=st.integers(0, 5_000))
     def test_fault_free_schedule_identical(self, seed):
+        # The NFT schedule of the FTO metric: the estimator at k = 0.
         app, arch, mapping, _ = make(seed, 1)
-        flat = {name: mapping.node_of(name, 0)
-                for name in app.process_names}
-        a = schedule_fault_free(app, arch, flat)
-        b = schedule_fault_free(app, arch, flat)
-        assert a.start_times == b.start_times
-        assert a.makespan == b.makespan
+        policies = PolicyAssignment.uniform(app, ProcessPolicy.none())
+        flat = CopyMapping.from_process_map(
+            {name: mapping.node_of(name, 0)
+             for name in app.process_names}, policies)
+        fm = FaultModel(k=0)
+        a = estimate_ft_schedule(app, arch, flat, policies, fm)
+        b = estimate_ft_schedule(app, arch, flat, policies, fm)
+        assert a.timings == b.timings
+        assert a.schedule_length == b.schedule_length
 
     @RELAXED
     @given(seed=st.integers(0, 5_000))

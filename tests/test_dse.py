@@ -435,6 +435,14 @@ class TestExplorer:
         with pytest.raises(RuntimeError, match="both certify"):
             merge_dse_cells(CERTIFYING_CONFIG, cells + cells[:1])
 
+    def test_merge_rejects_disagreeing_chunks(self):
+        cells = [run_dse_chunk(job.params_dict())
+                 for job in dse_jobs(SMALL_CONFIG)]
+        skewed = [*cells[:-1], dict(cells[-1], processes=0)]
+        with pytest.raises(RuntimeError,
+                           match="dse chunks disagree on 'processes'"):
+            merge_dse_cells(SMALL_CONFIG, skewed)
+
     def test_checkpoint_insensitive_designs_deduplicated(self):
         # MR synthesizes pure replication (no recovering copies), so
         # only the first checkpoint count is evaluated per

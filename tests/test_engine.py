@@ -25,6 +25,7 @@ from repro.engine import (
     run_batch,
     run_job,
 )
+import repro.eval.core as eval_core
 from repro.eval import EvaluatorPool, solution_fingerprint
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
@@ -156,9 +157,10 @@ class TestEstimationCache:
             policies, mapping)
         assert pool.stats().estimates.misses == 3
 
-    def test_bound_eviction(self, chain_app, two_nodes):
+    def test_bound_eviction(self, chain_app, two_nodes, monkeypatch):
+        monkeypatch.setattr(eval_core, "DEFAULT_MAX_ENTRIES", 1)
         mapping, policies, fm = self._workload(chain_app, two_nodes)
-        pool = EvaluatorPool(max_entries=1)
+        pool = EvaluatorPool()
         evaluator = pool.evaluator_for(chain_app, two_nodes, fm)
         evaluator.estimate(policies, mapping)
         evaluator.estimate(policies, mapping, bus_contention=False)

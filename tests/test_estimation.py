@@ -47,6 +47,76 @@ class TestBasicProperties:
             assert timing.wc_finish >= timing.ff_finish - 1e-9
 
 
+class TestFaultFreeScheduling:
+    """At ``k = 0`` with ``ProcessPolicy.none()`` the estimator is the
+    fault-free list schedule whose length is the NFT baseline of the
+    FTO metric (paper §6)."""
+
+    @staticmethod
+    def nft(app, arch, nodes, **kwargs):
+        policies = PolicyAssignment.uniform(app, ProcessPolicy.none())
+        mapping = CopyMapping.from_process_map(nodes, policies)
+        return estimate_ft_schedule(app, arch, mapping, policies,
+                                    FaultModel(k=0), **kwargs)
+
+    @staticmethod
+    def start(estimate, process):
+        return estimate.timings[(process, 0)].start
+
+    @staticmethod
+    def finish(estimate, process):
+        return estimate.timings[(process, 0)].wc_finish
+
+    def test_chain_same_node(self, chain_app, two_nodes):
+        estimate = self.nft(chain_app, two_nodes,
+                            {"P1": "N1", "P2": "N1", "P3": "N1"})
+        assert self.start(estimate, "P1") == 0.0
+        assert self.start(estimate, "P2") == 10.0
+        assert self.start(estimate, "P3") == 30.0
+        assert estimate.schedule_length == 40.0
+
+    def test_chain_cross_node_pays_bus(self, chain_app, two_nodes):
+        estimate = self.nft(chain_app, two_nodes,
+                            {"P1": "N1", "P2": "N2", "P3": "N1"})
+        assert self.start(estimate, "P2") > self.finish(estimate, "P1")
+        assert self.start(estimate, "P3") > self.finish(estimate, "P2")
+
+    def test_parallel_branches_overlap(self, fork_join_app, two_nodes):
+        estimate = self.nft(fork_join_app, two_nodes,
+                            {"P1": "N1", "P2": "N1", "P3": "N2",
+                             "P4": "N1"})
+        # P2 and P3 run concurrently on different nodes.
+        assert self.start(estimate, "P3") < self.finish(estimate, "P2")
+
+    def test_release_time_respected(self, two_nodes):
+        app = Application(
+            [Process("P1", {"N1": 5.0}, release=42.0)], deadline=100)
+        estimate = self.nft(app, two_nodes, {"P1": "N1"})
+        assert self.start(estimate, "P1") == 42.0
+
+    def test_processor_exclusive(self, fork_join_app, two_nodes):
+        nodes = {p: "N1" for p in fork_join_app.process_names}
+        estimate = self.nft(fork_join_app, two_nodes, nodes)
+        intervals = sorted(
+            (self.start(estimate, p), self.finish(estimate, p))
+            for p in fork_join_app.process_names)
+        for (s1, f1), (s2, _f2) in zip(intervals, intervals[1:]):
+            assert s2 >= f1 - 1e-9
+
+    def test_uncontended_mode_faster_or_equal(self, two_nodes):
+        app = Application(
+            [Process("A1", {"N1": 5.0}), Process("A2", {"N1": 5.0}),
+             Process("B1", {"N2": 10.0}), Process("B2", {"N2": 10.0})],
+            [Message("ma", "A1", "B1", size_bytes=4),
+             Message("mb", "A2", "B2", size_bytes=4)],
+            deadline=500)
+        nodes = {"A1": "N1", "A2": "N1", "B1": "N2", "B2": "N2"}
+        contended = self.nft(app, two_nodes, nodes)
+        relaxed = self.nft(app, two_nodes, nodes, bus_contention=False)
+        assert relaxed.schedule_length \
+            <= contended.schedule_length + 1e-9
+
+
 class TestSlackSharing:
     """Same-node copies share one slack window (max, not sum)."""
 

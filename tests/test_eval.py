@@ -5,10 +5,14 @@ The hard invariant of ``repro.eval`` is that incremental single-move
 re-evaluation is **bit-identical** to full re-evaluation: same
 estimates, same tabu trajectories (``TabuResult.history``), same DSE
 frontier bytes. These tests pin that by running every consumer with
-the incremental path on and forced off.
+the incremental path and again with the ``full_recompute`` fixture
+(``tests/conftest.py``), which substitutes the full recompute for
+``EstimatorState.reevaluate``.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 from repro.dse import DseConfig, SpaceConfig, run_dse
 from repro.engine import EngineConfig
@@ -17,7 +21,6 @@ from repro.eval import (
     Evaluator,
     EvaluatorPool,
     ScheduleProblem,
-    incremental_default,
     problem_fingerprint,
 )
 from repro.model import FaultModel, Transparency
@@ -120,13 +123,14 @@ class TestEvaluatorTiers:
         assert cached.schedule_length == fresh.schedule_length
         assert cached.timings == fresh.timings
 
-    def test_estimate_move_incremental_matches_full(self):
+    def test_estimate_move_incremental_matches_full(self,
+                                                    full_recompute):
         app, arch = small_workload()
         policies, mapping = solution_for(app, arch)
         problem = ScheduleProblem.for_workload(app, arch,
                                                FaultModel(k=2))
-        inc = Evaluator(problem, incremental=True)
-        full = Evaluator(problem, incremental=False)
+        inc = Evaluator(problem)
+        full = Evaluator(problem)
         parent_inc = inc.estimate_state(policies, mapping)
         parent_full = full.estimate_state(policies, mapping)
         name = app.process_names[-1]
@@ -135,7 +139,8 @@ class TestEvaluatorTiers:
         move = RemapMove(name, 0, node)
         new_p, new_m = move.apply((policies, mapping), app)
         a = inc.estimate_move(parent_inc, new_p, new_m, name)
-        b = full.estimate_move(parent_full, new_p, new_m, name)
+        with full_recompute():
+            b = full.estimate_move(parent_full, new_p, new_m, name)
         assert a.estimate.schedule_length == b.estimate.schedule_length
         assert a.estimate.timings == b.estimate.timings
 
@@ -194,33 +199,23 @@ class TestEvaluatorTiers:
         stats = pool.stats()
         assert (stats.estimates.hits, stats.estimates.misses) == (1, 1)
 
-    def test_incremental_default_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVAL_INCREMENTAL", raising=False)
-        assert incremental_default() is True
-        monkeypatch.setenv("REPRO_EVAL_INCREMENTAL", "0")
-        assert incremental_default() is False
-        app, arch = small_workload()
-        evaluator = Evaluator(ScheduleProblem.for_workload(
-            app, arch, FaultModel(k=2)))
-        assert evaluator.incremental is False
-
 
 class TestIncrementalExactness:
-    """The tentpole invariant: incremental on == incremental off."""
+    """The tentpole invariant: incremental == full recompute."""
 
-    def _tabu_result(self, incremental: bool):
+    def _tabu_result(self):
         app, arch = small_workload()
         fm = FaultModel(k=2)
         policies, mapping = solution_for(app, arch)
         problem = ScheduleProblem.for_workload(app, arch, fm)
-        search = TabuSearch(
-            app, arch, fm, settings=SETTINGS,
-            evaluator=Evaluator(problem, incremental=incremental))
+        search = TabuSearch(app, arch, fm, settings=SETTINGS,
+                            evaluator=Evaluator(problem))
         return search.optimize((policies, mapping))
 
-    def test_tabu_trajectory_bit_identical(self):
-        on = self._tabu_result(True)
-        off = self._tabu_result(False)
+    def test_tabu_trajectory_bit_identical(self, full_recompute):
+        on = self._tabu_result()
+        with full_recompute():
+            off = self._tabu_result()
         assert on.history == off.history
         assert on.cost == off.cost
         assert on.estimate.schedule_length == \
@@ -230,22 +225,20 @@ class TestIncrementalExactness:
         assert dict(on.policies.items()) == dict(off.policies.items())
         assert on.evaluations == off.evaluations
 
-    def test_synthesize_identical_under_forced_full(self, monkeypatch):
+    def test_synthesize_identical_under_forced_full(self,
+                                                    full_recompute):
         app, arch = small_workload()
         fm = FaultModel(k=2)
-        results = []
-        for flag in ("1", "0"):
-            monkeypatch.setenv("REPRO_EVAL_INCREMENTAL", flag)
-            results.append(synthesize(app, arch, fm, "MXR",
-                                      settings=SETTINGS))
-        on, off = results
+        on = synthesize(app, arch, fm, "MXR", settings=SETTINGS)
+        with full_recompute():
+            off = synthesize(app, arch, fm, "MXR", settings=SETTINGS)
         assert on.schedule_length == off.schedule_length
         assert on.nft_length == off.nft_length
         assert on.evaluations == off.evaluations
         assert on.mapping == off.mapping
         assert dict(on.policies.items()) == dict(off.policies.items())
 
-    def test_checkpoint_descent_identical(self):
+    def test_checkpoint_descent_identical(self, full_recompute):
         app, arch = generate_workload(GeneratorConfig(
             processes=6, nodes=2, seed=11))
         fm = FaultModel(k=2)
@@ -254,17 +247,17 @@ class TestIncrementalExactness:
         mapping = initial_mapping(app, arch, policies)
         problem = ScheduleProblem.for_workload(app, arch, fm)
         outcomes = []
-        for incremental in (True, False):
-            outcomes.append(optimize_checkpoints_globally(
-                app, arch, mapping, policies, fm,
-                evaluator=Evaluator(problem,
-                                    incremental=incremental)))
+        for mode in (nullcontext, full_recompute):
+            with mode():
+                outcomes.append(optimize_checkpoints_globally(
+                    app, arch, mapping, policies, fm,
+                    evaluator=Evaluator(problem)))
         (pol_a, est_a, evals_a), (pol_b, est_b, evals_b) = outcomes
         assert est_a.schedule_length == est_b.schedule_length
         assert dict(pol_a.items()) == dict(pol_b.items())
         assert evals_a == evals_b
 
-    def test_dse_frontier_bytes_identical(self, monkeypatch):
+    def test_dse_frontier_bytes_identical(self, full_recompute):
         config = DseConfig(
             workload={"processes": 6, "nodes": 2, "seed": 1},
             space=SpaceConfig(strategies=("MXR",), k_values=(1,),
@@ -275,15 +268,16 @@ class TestIncrementalExactness:
                                   bus_contention=False),
         )
         reports = []
-        for flag in ("1", "0"):
-            monkeypatch.setenv("REPRO_EVAL_INCREMENTAL", flag)
-            reports.append(run_dse(
-                config, engine_config=EngineConfig(workers=1)))
+        for mode in (nullcontext, full_recompute):
+            with mode():
+                reports.append(run_dse(
+                    config, engine_config=EngineConfig(workers=1)))
         assert reports[0].to_json() == reports[1].to_json()
 
 
 class TestPolicyRefinementParity:
-    def test_refinement_identical_incremental_on_off(self):
+    def test_refinement_identical_incremental_on_off(self,
+                                                     full_recompute):
         from repro.synthesis.strategies import _policy_refinement
         from repro.synthesis.tabu import policy_candidates
         from repro.schedule import partial_critical_path_priorities
@@ -296,11 +290,11 @@ class TestPolicyRefinementParity:
         problem = ScheduleProblem.for_workload(
             app, arch, fm, priorities=priorities)
         outcomes = []
-        for incremental in (True, False):
-            outcomes.append(_policy_refinement(
-                app, arch, fm, space, policies, mapping, priorities,
-                SETTINGS, Evaluator(problem,
-                                    incremental=incremental)))
+        for mode in (nullcontext, full_recompute):
+            with mode():
+                outcomes.append(_policy_refinement(
+                    app, arch, fm, space, policies, mapping,
+                    priorities, SETTINGS, Evaluator(problem)))
         a, b = outcomes
         assert a[2].schedule_length == b[2].schedule_length
         assert dict(a[0].items()) == dict(b[0].items())

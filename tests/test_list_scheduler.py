@@ -1,12 +1,12 @@
-"""Unit tests for fault-free list scheduling and PCP priorities."""
+"""Unit tests for the partial-critical-path (PCP) priorities: the
+priority function of the list schedulers (the slack-sharing estimator
+and the exact conditional scheduler)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import MappingError
-from repro.model import Application, Message, Process
-from repro.schedule import partial_critical_path_priorities, schedule_fault_free
+from repro.schedule import partial_critical_path_priorities
 
 
 class TestPriorities:
@@ -30,88 +30,3 @@ class TestPriorities:
                                                 comm_penalty=0.0)
         # P1 tail = max(P2, P3) + own = 15 + 8 + 10.
         assert prio["P1"] == pytest.approx(33.0)
-
-
-class TestFaultFreeScheduling:
-    def test_chain_same_node(self, chain_app, two_nodes):
-        schedule = schedule_fault_free(
-            chain_app, two_nodes, {"P1": "N1", "P2": "N1", "P3": "N1"})
-        assert schedule.start_of("P1") == 0.0
-        assert schedule.start_of("P2") == 10.0
-        assert schedule.start_of("P3") == 30.0
-        assert schedule.makespan == 40.0
-        assert not schedule.transmissions
-
-    def test_chain_cross_node_pays_bus(self, chain_app, two_nodes):
-        schedule = schedule_fault_free(
-            chain_app, two_nodes, {"P1": "N1", "P2": "N2", "P3": "N1"})
-        assert schedule.start_of("P2") > schedule.finish_of("P1")
-        assert "m1" in schedule.transmissions
-        assert schedule.transmissions["m1"].arrival <= \
-            schedule.start_of("P2")
-
-    def test_parallel_branches_overlap(self, fork_join_app, two_nodes):
-        schedule = schedule_fault_free(
-            fork_join_app, two_nodes,
-            {"P1": "N1", "P2": "N1", "P3": "N2", "P4": "N1"})
-        # P2 and P3 run concurrently on different nodes.
-        assert schedule.start_of("P3") < schedule.finish_of("P2")
-
-    def test_release_time_respected(self, two_nodes):
-        app = Application(
-            [Process("P1", {"N1": 5.0}, release=42.0)], deadline=100)
-        schedule = schedule_fault_free(app, two_nodes, {"P1": "N1"})
-        assert schedule.start_of("P1") == 42.0
-
-    def test_processor_exclusive(self, fork_join_app, two_nodes):
-        mapping = {p: "N1" for p in fork_join_app.process_names}
-        schedule = schedule_fault_free(fork_join_app, two_nodes, mapping)
-        intervals = sorted(
-            (schedule.start_of(p), schedule.finish_of(p))
-            for p in fork_join_app.process_names)
-        for (s1, f1), (s2, _f2) in zip(intervals, intervals[1:]):
-            assert s2 >= f1 - 1e-9
-
-    def test_unmapped_process_rejected(self, chain_app, two_nodes):
-        with pytest.raises(MappingError):
-            schedule_fault_free(chain_app, two_nodes, {"P1": "N1"})
-
-    def test_restricted_node_rejected(self, two_nodes):
-        app = Application([Process("P1", {"N1": 5.0})], deadline=100)
-        with pytest.raises(MappingError):
-            schedule_fault_free(app, two_nodes, {"P1": "N2"})
-
-    def test_unknown_node_rejected(self, two_nodes):
-        app = Application([Process("P1", {"N1": 5.0, "N9": 5.0})],
-                          deadline=100)
-        with pytest.raises(MappingError):
-            schedule_fault_free(app, two_nodes, {"P1": "N9"})
-
-    def test_bus_contention_serializes_messages(self, two_nodes):
-        app = Application(
-            [Process("A1", {"N1": 5.0}), Process("A2", {"N1": 5.0}),
-             Process("B1", {"N2": 50.0}), Process("B2", {"N2": 50.0})],
-            [Message("ma", "A1", "B1", size_bytes=4),
-             Message("mb", "A2", "B2", size_bytes=4)],
-            deadline=500)
-        mapping = {"A1": "N1", "A2": "N1", "B1": "N2", "B2": "N2"}
-        schedule = schedule_fault_free(app, two_nodes, mapping)
-        ta = schedule.transmissions["ma"]
-        tb = schedule.transmissions["mb"]
-        # Both sent by N1: distinct slots.
-        slots_a = {(f.round_index, f.slot_index) for f in ta.frames}
-        slots_b = {(f.round_index, f.slot_index) for f in tb.frames}
-        assert not slots_a & slots_b
-
-    def test_uncontended_mode_faster_or_equal(self, two_nodes):
-        app = Application(
-            [Process("A1", {"N1": 5.0}), Process("A2", {"N1": 5.0}),
-             Process("B1", {"N2": 10.0}), Process("B2", {"N2": 10.0})],
-            [Message("ma", "A1", "B1", size_bytes=4),
-             Message("mb", "A2", "B2", size_bytes=4)],
-            deadline=500)
-        mapping = {"A1": "N1", "A2": "N1", "B1": "N2", "B2": "N2"}
-        contended = schedule_fault_free(app, two_nodes, mapping)
-        relaxed = schedule_fault_free(app, two_nodes, mapping,
-                                      bus_contention=False)
-        assert relaxed.makespan <= contended.makespan + 1e-9

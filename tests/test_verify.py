@@ -16,7 +16,7 @@ from repro.model import (
     Transparency,
 )
 from repro.policies import PolicyAssignment, ProcessPolicy
-from repro.runtime import verify_tolerance
+from repro.runtime import verify_tolerance, verify_tolerance_sampled
 from repro.schedule import CopyMapping, synthesize_schedule
 
 
@@ -111,6 +111,28 @@ class TestVerification:
         assert report.frozen_violations
         with pytest.raises(ToleranceViolationError):
             report.raise_on_failure()
+
+    def test_sampled_audits_transparency(self, pipeline_setup):
+        # The sampled verifier audits the transparency claim on the
+        # scenarios it draws, exactly as the exhaustive one does.
+        app, arch = pipeline_setup
+        policies = PolicyAssignment.uniform(app,
+                                            ProcessPolicy.re_execution(1))
+        mapping = CopyMapping.from_process_map(
+            {"A": "N1", "B": "N1", "C": "N2"}, policies)
+        fm = FaultModel(k=1)
+        schedule = synthesize_schedule(app, arch, mapping, policies, fm)
+        claimed = Transparency(frozen_processes=("C",))
+        exhaustive = verify_tolerance(app, arch, mapping, policies, fm,
+                                      schedule, claimed)
+        sampled = verify_tolerance_sampled(
+            app, arch, mapping, policies, fm, schedule, claimed,
+            samples=50, seed=0)
+        assert sampled.scenarios == exhaustive.scenarios == 4
+        assert not sampled.ok
+        assert sampled.frozen_violations == exhaustive.frozen_violations
+        assert "frozen process 'C' (copy 0) started at " \
+            "[26.0, 30.0, 34.0]" in sampled.frozen_violations[0]
 
     def test_scenario_limit(self, pipeline_setup):
         app, arch = pipeline_setup
