@@ -10,7 +10,7 @@ tracks the reproduction's synthesis cost over time.
 Run:  pytest benchmarks/bench_fig7_policy_assignment.py --benchmark-only
 
 The full paper sweep (5 sizes x 3 seeds) is
-``python -m repro.experiments.fig7``.
+``repro batch --experiment fig7 --profile paper``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ global optimization pass.
 
 Run:  pytest benchmarks/bench_fig8_checkpoint_opt.py --benchmark-only
 
-The full paper sweep is ``python -m repro.experiments.fig8``.
+The full paper sweep is
+``repro batch --experiment fig8 --profile paper``.
 """
 
 from __future__ import annotations

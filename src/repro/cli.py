@@ -15,11 +15,11 @@ Commands
     every fault scenario within the budget, sharded through the batch
     engine in contiguous scenario windows (parallel workers, resumable
     checkpoints, byte-identical reports).
-``fig7`` / ``fig8``
-    Run the paper's evaluation sweeps (quick or paper profile).
 ``batch``
-    Run a sweep through the batch engine: parallel workers, resumable
-    JSONL checkpointing, JSON/CSV result export.
+    Run an experiment sweep through the batch engine — the paper's
+    Fig. 7 and Fig. 8 sweeps, the campaign sweep or the Pareto sweep,
+    at the quick or paper profile: parallel workers, resumable JSONL
+    checkpointing, JSON/CSV result export.
 ``campaign``
     Monte Carlo fault-injection campaign: synthesize a design, build
     the exact tables, stress-test them under sampled fault plans
@@ -51,9 +51,10 @@ Examples
     repro synth --preset cruise --k 2 --strategy MXR --tables
     repro tables --preset fig5
     repro verify --processes 8 --nodes 2 --k 2 --chunks 4 --workers 4
-    repro fig7 --profile quick
+    repro batch --experiment fig7 --profile quick
     repro batch --experiment fig7 --profile paper --workers 4 \
         --checkpoint fig7.ckpt.jsonl --out fig7.json --csv fig7.csv
+    repro batch --experiment pareto --profile quick --out pareto.json
     repro campaign --processes 8 --nodes 2 --k 2 --samples 200 \
         --sampler stratified --chunks 4 --workers 4 --out campaign.json
     repro dse --processes 8 --nodes 2 --k 2 --chunks 4 --workers 4 \
@@ -70,6 +71,7 @@ from a source checkout. The full flag-by-flag reference lives in
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -88,7 +90,7 @@ from repro.dse import (
     SpaceConfig,
     run_dse,
 )
-from repro.engine import BACKENDS, BatchEngine, EngineConfig
+from repro.engine import BACKENDS, BatchEngine, EngineConfig, JobOutcome
 from repro.engine.workdir import DEFAULT_LEASE_TIMEOUT, work
 from repro.eval import CACHE_DIR_ENV
 from repro.kernels import KERNELS_ENV, kernels_info
@@ -99,10 +101,14 @@ from repro.lint import (
     render_text,
 )
 from repro import __version__
-from repro.experiments import fig7 as fig7_mod
-from repro.experiments import fig8 as fig8_mod
-from repro.experiments.fig7 import COMPARED, Fig7Config, run_fig7
-from repro.experiments.fig8 import Fig8Config, run_fig8
+from repro.experiments import campaign as campaign_sweep
+from repro.experiments import fig7, fig8
+from repro.experiments.pareto import (
+    ParetoSweepConfig,
+    run_pareto_sweep,
+    write_sweep_csv,
+    write_sweep_json,
+)
 from repro.experiments.reporting import (
     cache_stats_from_cells,
     render_rows,
@@ -182,7 +188,7 @@ def _validate_engine_flags(parser: argparse.ArgumentParser,
 
 
 def _cmd_synth(args) -> int:
-    app, arch, __ = load_verify_workload(_workload_spec(args))
+    app, arch, transparency = load_verify_workload(_workload_spec(args))
     fault_model = FaultModel(k=args.k)
     result = synthesize(app, arch, fault_model, args.strategy,
                         settings=_settings(args))
@@ -198,7 +204,8 @@ def _cmd_synth(args) -> int:
         print(f"  {name}: {policy.kind.value} on {nodes}")
     if args.tables:
         schedule = synthesize_schedule(app, arch, result.mapping,
-                                       result.policies, fault_model)
+                                       result.policies, fault_model,
+                                       transparency)
         print()
         print(render_schedule_set(schedule))
         metrics = schedule_metrics(schedule)
@@ -256,54 +263,42 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _cmd_fig7(args) -> int:
-    config = (Fig7Config.paper() if args.profile == "paper"
-              else Fig7Config.quick())
-    rows = run_fig7(config, verbose=True, workers=args.workers)
-    print(render_rows(
-        ["processes", "samples", "FTO(MXR) %"]
-        + [f"dev {s} %" for s in COMPARED],
-        [row.as_cells() for row in rows]))
-    return 0
+#: The cell sweeps of ``repro batch --experiment``: config class, job
+#: expansion, row aggregation, row header, and the paper comparison
+#: printed under the rows (None: the paper has none).
+_CELL_SWEEPS = {
+    "fig7": (fig7.Fig7Config, fig7.fig7_jobs, fig7.rows_from_cells,
+             fig7.ROW_HEADER, fig7.paper_comparison),
+    "fig8": (fig8.Fig8Config, fig8.fig8_jobs, fig8.rows_from_cells,
+             fig8.ROW_HEADER, fig8.paper_comparison),
+    "campaign-sweep": (campaign_sweep.CampaignSweepConfig,
+                       campaign_sweep.campaign_sweep_jobs,
+                       campaign_sweep.rows_from_cells,
+                       campaign_sweep.ROW_HEADER, None),
+}
+
+def _announce_cell(outcome: JobOutcome) -> None:
+    resumed = " (resumed)" if outcome.from_checkpoint else ""
+    print(f"  {outcome.job.job_id}{resumed}", flush=True)
 
 
-def _cmd_fig8(args) -> int:
-    config = (Fig8Config.paper() if args.profile == "paper"
-              else Fig8Config.quick())
-    rows = run_fig8(config, verbose=True, workers=args.workers)
-    print(render_rows(
-        ["processes", "samples", "FTO[27] %", "FTO[15] %",
-         "deviation %"],
-        [row.as_cells() for row in rows]))
-    return 0
-
-
-def _cmd_batch(args) -> int:
-    if args.experiment == "fig7":
-        config = (Fig7Config.paper() if args.profile == "paper"
-                  else Fig7Config.quick())
-        jobs = fig7_mod.fig7_jobs(config)
-    else:
-        config = (Fig8Config.paper() if args.profile == "paper"
-                  else Fig8Config.quick())
-        jobs = fig8_mod.fig8_jobs(config)
-
-    engine = BatchEngine(_engine_config(args))
-    report = engine.run(jobs)
+def _run_cell_sweep(args):
+    """Run a cell sweep and print its rows and summary; return the
+    report's JSON and CSV writers."""
+    config_cls, jobs, rows_from_cells, header, comparison = \
+        _CELL_SWEEPS[args.experiment]
+    # --profile names the config's classmethod: quick() or paper().
+    config = getattr(config_cls, args.profile)()
+    report = BatchEngine(_engine_config(args)).run(
+        jobs(config), progress=_announce_cell)
     cells = report.results()
-
-    if args.experiment == "fig7":
-        rows = fig7_mod.rows_from_cells(cells, sizes=config.sizes)
-        print(render_rows(
-            ["processes", "samples", "FTO(MXR) %"]
-            + [f"dev {s} %" for s in COMPARED],
-            [row.as_cells() for row in rows]))
-    else:
-        rows = fig8_mod.rows_from_cells(cells, sizes=config.sizes)
-        print(render_rows(
-            ["processes", "samples", "FTO[27] %", "FTO[15] %",
-             "deviation %"],
-            [row.as_cells() for row in rows]))
+    rows = rows_from_cells(cells, sizes=config.sizes)
+    print()
+    print(render_rows(header, [row.as_cells() for row in rows]))
+    if comparison is not None:
+        print()
+        for line in comparison(rows):
+            print(line)
 
     stats = cache_stats_from_cells(cells)
     print()
@@ -318,15 +313,41 @@ def _cmd_batch(args) -> int:
         "entries": stats.entries,
         "hit_rate": stats.hit_rate,
     }
-    # One compiled table set per sweep cell; batch sweeps evaluate
-    # estimates only (deterministic shape, not live counters).
+    # One compiled table set per sweep cell; campaign-sweep cells also
+    # replay their sampled plans and certified scenarios (deterministic
+    # shape, not live counters).
     report.extra_info["kernels"] = kernels_info(
-        compiled_tables=len(cells), batched_scenarios=0)
+        compiled_tables=len(cells),
+        batched_scenarios=sum(int(c.get("plans_total", 0))
+                              + int(c.get("verified_scenarios", 0))
+                              for c in cells))
+    return report.write_json, report.write_csv
+
+
+def _run_pareto_sweep(args):
+    """Run the Pareto sweep and print every workload's frontier;
+    return the sweep report's JSON and CSV writers."""
+    reports = run_pareto_sweep(getattr(ParetoSweepConfig, args.profile)(),
+                               engine_config=_engine_config(args))
+    for report in reports:
+        print()
+        for line in report.summary_lines():
+            print(line)
+        print()
+        print(report.frontier_table())
+    return (functools.partial(write_sweep_json, reports),
+            functools.partial(write_sweep_csv, reports))
+
+
+def _cmd_batch(args) -> int:
+    run = (_run_pareto_sweep if args.experiment == "pareto"
+           else _run_cell_sweep)
+    write_json, write_csv = run(args)
     if args.out:
-        report.write_json(args.out)
+        write_json(args.out)
         print(f"results written to {args.out}")
     if args.csv:
-        report.write_csv(args.csv)
+        write_csv(args.csv)
         print(f"CSV written to {args.csv}")
     return 0
 
@@ -444,10 +465,11 @@ examples:
   repro synth --preset cruise --k 2 --strategy MXR --tables
   repro tables --preset fig5
   repro verify --processes 8 --nodes 2 --k 2 --chunks 4 --workers 4
-  repro fig7 --profile quick --workers 4
-  repro fig8 --profile quick --workers 4
-  repro batch --experiment fig7 --profile paper --workers 4 \\
-      --checkpoint fig7.ckpt.jsonl --out fig7.json --csv fig7.csv
+  repro batch --experiment fig7 --profile quick --workers 4
+  repro batch --experiment fig8 --profile paper --workers 4 \\
+      --checkpoint fig8.ckpt.jsonl --out fig8.json --csv fig8.csv
+  repro batch --experiment pareto --profile quick \\
+      --out pareto-quick.json --csv pareto-quick.csv
   repro campaign --processes 8 --nodes 2 --k 2 --sampler stratified \\
       --samples 200 --chunks 4 --workers 4 --out campaign.json
   repro dse --processes 8 --nodes 2 --k 2 --chunks 4 --workers 4 \\
@@ -524,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strategy", default="MXR",
                        choices=("MXR", "MX", "MR", "SFX", "MC",
                                 "MC_GLOBAL"))
-        p.add_argument("--iterations", type=int, default=24)
-        p.add_argument("--neighborhood", type=int, default=16)
+        p.add_argument("--iterations", type=_nonnegative_int, default=24)
+        p.add_argument("--neighborhood", type=_nonnegative_int, default=16)
 
     def add_engine_args(p):
         """The shared executor/cache flags of every sweep command."""
@@ -633,19 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_args(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
-    for name, handler in (("fig7", _cmd_fig7), ("fig8", _cmd_fig8)):
-        p_fig = sub.add_parser(name,
-                               help=f"run the paper's {name} sweep")
-        p_fig.add_argument("--profile", choices=("quick", "paper"),
-                           default="quick")
-        p_fig.add_argument("--workers", type=_positive_int, default=1,
-                           help="worker processes for the sweep cells")
-        p_fig.set_defaults(func=handler)
-
     p_batch = sub.add_parser(
         "batch",
-        help="run a sweep through the parallel batch engine")
-    p_batch.add_argument("--experiment", choices=("fig7", "fig8"),
+        help="run an experiment sweep (Fig. 7, Fig. 8, campaign or "
+             "Pareto) through the parallel batch engine")
+    p_batch.add_argument("--experiment",
+                         choices=(*_CELL_SWEEPS, "pareto"),
                          required=True)
     p_batch.add_argument("--profile", choices=("quick", "paper"),
                          default="quick")
@@ -657,9 +672,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--no-resume", action="store_true",
                          help="ignore an existing checkpoint file")
     p_batch.add_argument("--out", default=None, metavar="PATH",
-                         help="write the full JSON report")
+                         help="write the full JSON report (pareto: "
+                              "the sweep report of every workload)")
     p_batch.add_argument("--csv", default=None, metavar="PATH",
-                         help="write one CSV row per sweep cell")
+                         help="write one CSV row per sweep cell "
+                              "(pareto: per frontier point)")
     add_engine_args(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 
@@ -680,8 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--strategy", default="MXR",
                         choices=("MXR", "MX", "MR", "SFX", "MC",
                                  "MC_GLOBAL"))
-    p_camp.add_argument("--iterations", type=int, default=8)
-    p_camp.add_argument("--neighborhood", type=int, default=8)
+    p_camp.add_argument("--iterations", type=_nonnegative_int, default=8)
+    p_camp.add_argument("--neighborhood", type=_nonnegative_int, default=8)
     p_camp.add_argument("--sampler", choices=SAMPLERS,
                         default="stratified",
                         help="fault-plan sampling strategy")
@@ -780,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_EPSILONS[2],
                        help="epsilon-box edge for the FT memory "
                             "objective (bytes)")
-    p_dse.add_argument("--iterations", type=int, default=8)
-    p_dse.add_argument("--neighborhood", type=int, default=8)
+    p_dse.add_argument("--iterations", type=_nonnegative_int, default=8)
+    p_dse.add_argument("--neighborhood", type=_nonnegative_int, default=8)
     p_dse.add_argument("--chunks", type=_positive_int, default=4,
                        help="candidate chunks fanned out as engine "
                             "jobs; each chunk re-runs the "

@@ -13,7 +13,8 @@
   transparency/performance Pareto sweep, one epsilon-Pareto frontier
   per workload via the design-space explorer (:mod:`repro.dse`).
 
-All are runnable as modules (``python -m repro.experiments.fig7``) and
+All four run through ``repro batch --experiment
+{fig7,fig8,campaign-sweep,pareto}``; the Fig. 7/8 sweeps are also
 wrapped by the pytest-benchmark harnesses in ``benchmarks/``.
 """
 

@@ -19,29 +19,21 @@ relates to both:
   certified estimate bound (the soundness seam: must be 0).
 
 Each grid cell is one single-chunk campaign run as a pure engine job,
-so the sweep inherits workers/checkpointing via ``repro batch``-style
-execution.
+so ``repro batch --experiment campaign-sweep`` runs the sweep with the
+engine's workers, backends and checkpointing.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
 from dataclasses import asdict, dataclass, field
 from collections.abc import Mapping, Sequence
 
 from repro.campaigns.runner import run_campaign_chunk
 from repro.campaigns.stats import CampaignStats
-from repro.engine.backends import BACKENDS
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
-from repro.engine.runner import BatchEngine, EngineConfig, JobOutcome
-from repro.eval.diskcache import CACHE_DIR_ENV
-from repro.experiments.reporting import (
-    group_cells_by_size,
-    mean,
-    render_rows,
-)
+from repro.engine.runner import BatchEngine, EngineConfig
+from repro.experiments.reporting import group_cells_by_size, mean
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
 from repro.verify.stats import VerificationStats
@@ -79,7 +71,7 @@ class CampaignSweepConfig:
         return cls(sizes=(5, 6), seeds=(1, 2), samples=30)
 
     @classmethod
-    def full(cls) -> "CampaignSweepConfig":
+    def paper(cls) -> "CampaignSweepConfig":
         """The default grid."""
         return cls()
 
@@ -209,68 +201,10 @@ def rows_from_cells(cells: Sequence[Mapping], *,
     return rows
 
 
-def _print_cell(outcome: JobOutcome) -> None:
-    cell = outcome.result
-    resumed = " (resumed)" if outcome.from_checkpoint else ""
-    stats = CampaignStats.from_jsonable(cell["stats"])
-    print(f"  size={cell['size']} seed={cell['seed']} "
-          f"plans={stats.plans} worst={stats.worst_makespan:.1f} "
-          f"exact={cell['exact_worst_case']:.1f} "
-          f"exceeded={stats.exceeded}{resumed}")
-
-
 def run_campaign_sweep(config: CampaignSweepConfig | None = None, *,
-                       verbose: bool = False, workers: int = 1,
                        engine_config: EngineConfig | None = None,
                        ) -> list[CampaignRow]:
     """Run the sweep and return one row per application size."""
     config = config or CampaignSweepConfig()
-    engine = BatchEngine(engine_config
-                         or EngineConfig(workers=workers))
-    report = engine.run(campaign_sweep_jobs(config),
-                        progress=_print_cell if verbose else None)
+    report = BatchEngine(engine_config).run(campaign_sweep_jobs(config))
     return rows_from_cells(report.results(), sizes=config.sizes)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point: the full grid."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.campaign",
-        description="Fault-injection campaign sweep over an "
-                    "application-size grid")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (<=1 runs serially)")
-    parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="JSONL checkpoint of completed cells "
-                             "(enables resume)")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="executor backend (serial, process or "
-                             "workdir); default auto-selects from "
-                             "--workers/--workdir")
-    parser.add_argument("--workdir", default=None, metavar="DIR",
-                        help="shared directory of the workdir "
-                             "backend; 'repro worker' processes may "
-                             "join from any host sharing it")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent evaluation cache "
-                             "(REPRO_EVAL_CACHE_DIR); repeated "
-                             "sweeps warm-start from it")
-    args = parser.parse_args(argv)
-
-    if args.cache_dir:
-        os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
-    engine_config = EngineConfig(workers=args.workers,
-                                 checkpoint_path=args.checkpoint,
-                                 backend=args.backend,
-                                 workdir=args.workdir)
-    rows = run_campaign_sweep(CampaignSweepConfig.full(),
-                              verbose=True,
-                              engine_config=engine_config)
-    print()
-    print("Campaign sweep — estimate vs exact vs simulated")
-    print(render_rows(ROW_HEADER, [row.as_cells() for row in rows]))
-    return 0
-
-
-if __name__ == "__main__":
-    main()

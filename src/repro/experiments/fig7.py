@@ -17,9 +17,9 @@ regimes (MR worse by tens of percent, MX by double digits).
 
 The sweep is expressed as a grid of independent (size, seed) cells and
 executed by :mod:`repro.engine` — serially or across worker processes
-(``run_fig7(..., workers=N)`` / ``repro batch``), with one
-:class:`~repro.eval.EvaluatorPool` per cell shared by the
-NFT baseline and all four strategies.
+(``run_fig7(..., engine_config=EngineConfig(workers=N))`` / ``repro
+batch --experiment fig7``), with one :class:`~repro.eval.EvaluatorPool`
+per cell shared by the NFT baseline and all four strategies.
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ from collections.abc import Mapping, Sequence
 
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
-from repro.engine.runner import BatchEngine, EngineConfig, JobOutcome
+from repro.engine.runner import BatchEngine, EngineConfig
 from repro.eval import EvaluatorPool
-from repro.experiments.reporting import (
-    group_cells_by_size,
-    mean,
-    render_rows,
-)
+from repro.experiments.reporting import group_cells_by_size, mean
 from repro.model.fault_model import FaultModel
 from repro.schedule.analysis import percentage_deviation
 from repro.synthesis.strategies import nft_baseline, synthesize
@@ -48,6 +44,10 @@ from repro.workloads.generator import (
 
 #: Strategies compared against the MXR baseline, in plot order.
 COMPARED = ("MR", "SFX", "MX")
+
+#: Table header matching :meth:`Fig7Row.as_cells`.
+ROW_HEADER = (["processes", "samples", "FTO(MXR) %"]
+              + [f"dev {s} %" for s in COMPARED])
 
 #: Import-path runner reference resolved by engine workers.
 CELL_RUNNER = "repro.experiments.fig7:run_fig7_cell"
@@ -168,44 +168,20 @@ def rows_from_cells(cells: Sequence[Mapping], *,
     ]
 
 
-def _print_cell(outcome: JobOutcome) -> None:
-    cell = outcome.result
-    resumed = " (resumed)" if outcome.from_checkpoint else ""
-    print(f"  size={cell['size']} seed={cell['seed']} "
-          f"nodes={cell['nodes']} k={cell['k']} "
-          f"FTO(MXR)={cell['fto_mxr']:.1f}%{resumed}")
+def paper_comparison(rows: Sequence[Fig7Row]) -> list[str]:
+    """The paper's average deviations next to the measured ones."""
+    overall = {
+        s: mean([row.avg_deviation[s] for row in rows]) for s in COMPARED
+    }
+    return ["paper: MR ≈ +77 %, MX ≈ +17.6 % (SFX between)",
+            "measured averages: "
+            + ", ".join(f"{s} {overall[s]:+.1f} %" for s in COMPARED)]
 
 
-def run_fig7(config: Fig7Config | None = None, *, verbose: bool = False,
-             workers: int = 1,
+def run_fig7(config: Fig7Config | None = None, *,
              engine_config: EngineConfig | None = None,
              ) -> list[Fig7Row]:
     """Run the sweep and return one row per application size."""
     config = config or Fig7Config()
-    engine = BatchEngine(engine_config
-                         or EngineConfig(workers=workers))
-    report = engine.run(fig7_jobs(config),
-                        progress=_print_cell if verbose else None)
+    report = BatchEngine(engine_config).run(fig7_jobs(config))
     return rows_from_cells(report.results(), sizes=config.sizes)
-
-
-def main() -> None:
-    """CLI entry point: the full paper sweep."""
-    rows = run_fig7(Fig7Config.paper(), verbose=True)
-    print()
-    print("Fig. 7 — avg % deviation of FTO from the MXR baseline")
-    print(render_rows(
-        ["processes", "samples", "FTO(MXR) %"] + [f"dev {s} %"
-                                                  for s in COMPARED],
-        [row.as_cells() for row in rows]))
-    overall = {
-        s: mean([row.avg_deviation[s] for row in rows]) for s in COMPARED
-    }
-    print()
-    print("paper: MR ≈ +77 %, MX ≈ +17.6 % (SFX between)")
-    print("measured averages: "
-          + ", ".join(f"{s} {overall[s]:+.1f} %" for s in COMPARED))
-
-
-if __name__ == "__main__":
-    main()

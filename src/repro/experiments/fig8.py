@@ -28,13 +28,9 @@ from collections.abc import Mapping, Sequence
 
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
-from repro.engine.runner import BatchEngine, EngineConfig, JobOutcome
+from repro.engine.runner import BatchEngine, EngineConfig
 from repro.eval import EvaluatorPool
-from repro.experiments.reporting import (
-    group_cells_by_size,
-    mean,
-    render_rows,
-)
+from repro.experiments.reporting import group_cells_by_size, mean
 from repro.model.fault_model import FaultModel
 from repro.synthesis.strategies import nft_baseline, synthesize
 from repro.synthesis.tabu import TabuSettings
@@ -43,6 +39,10 @@ from repro.workloads.generator import GeneratorConfig, generate_workload
 
 #: Import-path runner reference resolved by engine workers.
 CELL_RUNNER = "repro.experiments.fig8:run_fig8_cell"
+
+#: Table header matching :meth:`Fig8Row.as_cells`.
+ROW_HEADER = ["processes", "samples", "FTO[27] %", "FTO[15] %",
+              "deviation %"]
 
 
 @dataclass(frozen=True)
@@ -177,42 +177,16 @@ def rows_from_cells(cells: Sequence[Mapping], *,
     ]
 
 
-def _print_cell(outcome: JobOutcome) -> None:
-    cell = outcome.result
-    resumed = " (resumed)" if outcome.from_checkpoint else ""
-    print(f"  size={cell['size']} seed={cell['seed']} "
-          f"nodes={cell['nodes']} k={cell['k']} "
-          f"FTO[27]={cell['fto_baseline']:.1f}% "
-          f"FTO[15]={cell['fto_optimized']:.1f}%{resumed}")
+def paper_comparison(rows: Sequence[Fig8Row]) -> list[str]:
+    """The paper's claim the measured rows are read against."""
+    return ["paper: deviation grows with application size "
+            "(larger deviation = smaller overhead)"]
 
 
-def run_fig8(config: Fig8Config | None = None, *, verbose: bool = False,
-             workers: int = 1,
+def run_fig8(config: Fig8Config | None = None, *,
              engine_config: EngineConfig | None = None,
              ) -> list[Fig8Row]:
     """Run the sweep and return one row per application size."""
     config = config or Fig8Config()
-    engine = BatchEngine(engine_config
-                         or EngineConfig(workers=workers))
-    report = engine.run(fig8_jobs(config),
-                        progress=_print_cell if verbose else None)
+    report = BatchEngine(engine_config).run(fig8_jobs(config))
     return rows_from_cells(report.results(), sizes=config.sizes)
-
-
-def main() -> None:
-    """CLI entry point: the full paper sweep."""
-    rows = run_fig8(Fig8Config.paper(), verbose=True)
-    print()
-    print("Fig. 8 — avg % deviation of the FTO of global checkpoint "
-          "optimization [15] from the per-process baseline [27]")
-    print(render_rows(
-        ["processes", "samples", "FTO[27] %", "FTO[15] %",
-         "deviation %"],
-        [row.as_cells() for row in rows]))
-    print()
-    print("paper: deviation grows with application size "
-          "(larger deviation = smaller overhead)")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,5 +1,5 @@
-"""The transparency/performance Pareto sweep (``python -m
-repro.experiments.pareto``).
+"""The transparency/performance Pareto sweep (``repro batch
+--experiment pareto``).
 
 Runs the design-space explorer (:mod:`repro.dse`) over a grid of
 workloads and reports one epsilon-Pareto frontier per workload — the
@@ -17,18 +17,15 @@ Profiles:
 
 Run::
 
-    python -m repro.experiments.pareto --profile quick --workers 4 \\
+    repro batch --experiment pareto --profile quick --workers 4 \\
         --out pareto.json --csv pareto.csv
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
-import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Mapping, Sequence
@@ -44,10 +41,8 @@ from repro.dse.explorer import (
 )
 from repro.dse.space import SpaceConfig
 from repro.engine import journal
-from repro.engine.backends import BACKENDS
 from repro.engine.jobs import BatchJob
-from repro.engine.runner import BatchEngine, EngineConfig, JobOutcome
-from repro.eval.diskcache import CACHE_DIR_ENV
+from repro.engine.runner import BatchEngine, EngineConfig
 from repro.synthesis.tabu import TabuSettings
 
 
@@ -118,20 +113,11 @@ def pareto_jobs(config: ParetoSweepConfig) -> list[BatchJob]:
     return jobs
 
 
-def run_pareto_sweep(config: ParetoSweepConfig, *, workers: int = 1,
+def run_pareto_sweep(config: ParetoSweepConfig, *,
                      engine_config: EngineConfig | None = None,
-                     verbose: bool = False) -> list[DseReport]:
+                     ) -> list[DseReport]:
     """Run the sweep; one merged report per workload, in order."""
-    engine = BatchEngine(engine_config or EngineConfig(workers=workers))
-
-    def _progress(outcome: JobOutcome) -> None:
-        cell = outcome.result
-        resumed = " (resumed)" if outcome.from_checkpoint else ""
-        print(f"  {outcome.job.job_id}: {cell['evaluated']} evaluated, "
-              f"{len(cell['archive']['points'])} archived{resumed}")
-
-    batch = engine.run(pareto_jobs(config),
-                       progress=_progress if verbose else None)
+    batch = BatchEngine(engine_config).run(pareto_jobs(config))
     reports: list[DseReport] = []
     offset = 0
     for dse_config in config.dse_configs():
@@ -184,62 +170,3 @@ def write_sweep_csv(reports: Sequence[DseReport],
                 point.extras.get("table_memory_bytes"),
             ])
     journal.write_atomic_text(path, buffer.getvalue())
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point for the sweep."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.pareto",
-        description="Pareto design-space sweep over a workload grid")
-    parser.add_argument("--profile", choices=("quick", "paper"),
-                        default="quick")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (<=1 runs serially)")
-    parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="JSONL checkpoint of completed chunks "
-                             "(enables resume)")
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="executor backend (serial, process or "
-                             "workdir); default auto-selects from "
-                             "--workers/--workdir")
-    parser.add_argument("--workdir", default=None, metavar="DIR",
-                        help="shared directory of the workdir "
-                             "backend; 'repro worker' processes may "
-                             "join from any host sharing it")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent evaluation cache "
-                             "(REPRO_EVAL_CACHE_DIR); repeated "
-                             "sweeps warm-start from it")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the canonical JSON sweep report")
-    parser.add_argument("--csv", default=None, metavar="PATH",
-                        help="write one CSV row per frontier point")
-    args = parser.parse_args(argv)
-
-    config = (ParetoSweepConfig.paper() if args.profile == "paper"
-              else ParetoSweepConfig.quick())
-    if args.cache_dir:
-        os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
-    engine_config = EngineConfig(workers=args.workers,
-                                 checkpoint_path=args.checkpoint,
-                                 backend=args.backend,
-                                 workdir=args.workdir)
-    reports = run_pareto_sweep(config, engine_config=engine_config,
-                               verbose=True)
-    for report in reports:
-        print()
-        for line in report.summary_lines():
-            print(line)
-        print()
-        print(report.frontier_table())
-    if args.out:
-        write_sweep_json(reports, args.out)
-        print(f"\nreport written to {args.out}")
-    if args.csv:
-        write_sweep_csv(reports, args.csv)
-        print(f"CSV written to {args.csv}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -40,9 +41,15 @@ class TestParser:
         assert args.checkpoint is None
         assert not args.no_resume
 
-    def test_fig_sweeps_accept_workers(self):
-        args = build_parser().parse_args(["fig7", "--workers", "3"])
-        assert args.workers == 3
+    def test_batch_experiment_choices(self, capsys):
+        for name in ("fig7", "fig8", "campaign-sweep", "pareto"):
+            args = build_parser().parse_args(
+                ["batch", "--experiment", name])
+            assert args.experiment == name
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["batch", "--experiment", "fig9"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         import repro
@@ -73,6 +80,29 @@ class TestCommands:
         assert code == 0
         assert "schedule table" in out
         assert "table memory" in out
+
+    def test_synth_tables_enforce_preset_transparency(self, capsys):
+        """The printed tables honour the preset's frozen processes and
+        messages, like ``repro tables`` and ``repro verify`` do."""
+        from repro.model import FaultModel
+        from repro.schedule import render_schedule_set, synthesize_schedule
+        from repro.synthesis import TabuSettings, synthesize
+        from repro.verify.runner import load_verify_workload
+
+        code = main(["synth", "--preset", "fig5", "--k", "2",
+                     "--iterations", "4", "--neighborhood", "4",
+                     "--tables"])
+        out = capsys.readouterr().out
+        assert code == 0
+        app, arch, transparency = load_verify_workload({"preset": "fig5"})
+        fault_model = FaultModel(k=2)
+        result = synthesize(app, arch, fault_model, "MXR",
+                            settings=TabuSettings(iterations=4,
+                                                  neighborhood=4, seed=1))
+        schedule = synthesize_schedule(app, arch, result.mapping,
+                                       result.policies, fault_model,
+                                       transparency)
+        assert render_schedule_set(schedule) in out
 
     def test_tables_fig5(self, capsys):
         code = main(["tables", "--preset", "fig5"])
@@ -124,6 +154,7 @@ class TestCommands:
 @pytest.fixture
 def tiny_quick_profiles(monkeypatch):
     """Shrink the quick profiles so CLI sweep tests stay fast."""
+    from repro.experiments.campaign import CampaignSweepConfig
     from repro.experiments.fig7 import Fig7Config
     from repro.experiments.fig8 import Fig8Config
     from repro.synthesis.tabu import TabuSettings
@@ -138,6 +169,10 @@ def tiny_quick_profiles(monkeypatch):
         Fig8Config, "quick",
         classmethod(lambda cls: cls(sizes=(8,), seeds=(1,),
                                     settings=tiny)))
+    monkeypatch.setattr(
+        CampaignSweepConfig, "quick",
+        classmethod(lambda cls: cls(sizes=(4, 5), seeds=(1,), k=1,
+                                    samples=6, settings=tiny)))
 
 
 class TestBatchCommand:
@@ -172,6 +207,92 @@ class TestBatchCommand:
         printed = capsys.readouterr().out
         assert code == 0
         assert "FTO[27]" in printed
+
+    @pytest.mark.parametrize("experiment, json_digest, csv_digest", [
+        ("fig7",
+         "5db7878d2311ec4772526790512a3270"
+         "30999ddd0b9f8482f8748d1d2ef1819c",
+         "950b6c7a116eebf2c8228f6f294a5039"
+         "e27675efebec3b3a884399fd611501ae"),
+        ("fig8",
+         "7c219bfd3bec4897de9984188c1df199"
+         "0edfd6f33a4de11041c866c3321cc934",
+         "3183eee2602de6a60b720ffae151a7ee"
+         "6b7b3f96c3b67265430e1f09c85b6176"),
+    ], ids=["fig7", "fig8"])
+    def test_batch_fig_report_bytes_pinned(self, tiny_quick_profiles,
+                                           tmp_path, capsys, experiment,
+                                           json_digest, csv_digest):
+        """The --out and --csv bytes of the paper sweeps."""
+        out = tmp_path / "r.json"
+        csv = tmp_path / "r.csv"
+        assert main(["batch", "--experiment", experiment,
+                     "--out", str(out), "--csv", str(csv)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+
+    @pytest.mark.parametrize("experiment, comparison", [
+        ("fig7", "measured averages: MR "),
+        ("fig8", "paper: deviation grows with application size"),
+    ], ids=["fig7", "fig8"])
+    def test_batch_fig_prints_cells_and_paper_comparison(
+            self, tiny_quick_profiles, tmp_path, capsys, experiment,
+            comparison):
+        ckpt = tmp_path / "ckpt.jsonl"
+        argv = ["batch", "--experiment", experiment,
+                "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert f"  {experiment}/size=8/seed=1\n" in printed
+        assert comparison in printed
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert f"  {experiment}/size=8/seed=1 (resumed)\n" in printed
+
+    def test_batch_campaign_sweep_prints_rows(self, tiny_quick_profiles,
+                                              capsys):
+        from repro.experiments.campaign import (
+            ROW_HEADER,
+            CampaignSweepConfig,
+            run_campaign_sweep,
+        )
+        from repro.experiments.reporting import render_rows
+
+        rows = run_campaign_sweep(CampaignSweepConfig.quick())
+        code = main(["batch", "--experiment", "campaign-sweep"])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert render_rows(ROW_HEADER,
+                           [row.as_cells() for row in rows]) in printed
+        assert "2 cells (2 executed, 0 resumed)" in printed
+        assert "  campaign-sweep/size=4/seed=1\n" in printed
+
+    def test_batch_pareto_matches_sweep_writers(self, tmp_path, capsys):
+        """Serial and parallel runs write the sweep report of
+        run_pareto_sweep byte for byte."""
+        from repro.experiments.pareto import (
+            ParetoSweepConfig,
+            run_pareto_sweep,
+            write_sweep_csv,
+            write_sweep_json,
+        )
+
+        reports = run_pareto_sweep(ParetoSweepConfig.quick())
+        write_sweep_json(reports, tmp_path / "expected.json")
+        write_sweep_csv(reports, tmp_path / "expected.csv")
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            csv = tmp_path / f"w{workers}.csv"
+            assert main(["batch", "--experiment", "pareto",
+                         "--profile", "quick", "--workers", workers,
+                         "--out", str(out), "--csv", str(csv)]) == 0
+            assert out.read_bytes() == \
+                (tmp_path / "expected.json").read_bytes()
+            assert csv.read_bytes() == \
+                (tmp_path / "expected.csv").read_bytes()
+        printed = capsys.readouterr().out
+        assert "frontier after epsilon sparsification" in printed
 
 
 class TestCampaignCommand:
@@ -272,6 +393,11 @@ class TestEngineFlagValidation:
         ["dse", "--checkpoint-counts", "-1"],
         ["dse", "--transparency-samples", "-2"],
         ["dse", "--k", "0"],
+        # Negative tabu budgets: no search would run.
+        ["synth", "--iterations", "-1"],
+        ["verify", "--neighborhood", "-1"],
+        ["campaign", "--iterations", "-1"],
+        ["dse", "--neighborhood", "-4"],
     ])
     def test_bad_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

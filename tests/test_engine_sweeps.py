@@ -45,7 +45,8 @@ class TestParallelEqualsSerial:
 
     def test_run_fig7_workers_same_rows(self):
         rows_serial = fig7.run_fig7(TINY7)
-        rows_parallel = fig7.run_fig7(TINY7, workers=2)
+        rows_parallel = fig7.run_fig7(
+            TINY7, engine_config=EngineConfig(workers=2))
         assert rows_parallel == rows_serial
 
 
