@@ -31,6 +31,7 @@ certificates the way :mod:`repro.verify` folds its chunks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
@@ -133,9 +134,9 @@ class CampaignConfig:
                 f"certify_max_scenarios must be >= 1, got "
                 f"{self.certify_max_scenarios}")
         if self.intermittent < 0 or self.slot_faults < 0 \
-                or self.jitter < 0:
+                or not 0 <= self.jitter < math.inf:
             raise ValueError(
-                "DES axes must be >= 0, got intermittent="
+                "DES axes must be finite and >= 0, got intermittent="
                 f"{self.intermittent} slot_faults={self.slot_faults} "
                 f"jitter={self.jitter}")
 

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -485,14 +486,17 @@ full reference: docs/cli.md
 """
 
 
-def _ranged(kind: type, low: float, *,
-            strict: bool = False) -> Callable[[str], float]:
+def _ranged(kind: type, low: float, *, strict: bool = False,
+            finite: bool = False) -> Callable[[str], float]:
     """Argparse type: a ``kind`` (int or float) value ``>= low``, or
-    ``> low`` when ``strict``. Out-of-range values die at parse time
-    with a usage error instead of a traceback from a config
-    constructor (NaN is out of every range)."""
+    ``> low`` when ``strict``, and below ``inf`` when ``finite``.
+    Out-of-range values die at parse time with a usage error instead
+    of a traceback from a config constructor (NaN is out of every
+    range)."""
     noun = "an integer" if kind is int else "a number"
     bound = f"{'>' if strict else '>='} {low}"
+    if finite:
+        bound = f"finite and {bound}"
 
     def parse(text: str) -> float:
         try:
@@ -500,7 +504,8 @@ def _ranged(kind: type, low: float, *,
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected {noun}, got {text!r}") from None
-        if not (value > low if strict else value >= low):
+        if not (value > low if strict else value >= low) \
+                or (finite and not math.isfinite(value)):
             raise argparse.ArgumentTypeError(
                 f"expected a value {bound}, got {text}")
         return value
@@ -511,6 +516,7 @@ _positive_int = _ranged(int, 1)
 _nonnegative_int = _ranged(int, 0)
 _positive_float = _ranged(float, 0, strict=True)
 _nonnegative_float = _ranged(float, 0)
+_finite_nonnegative_float = _ranged(float, 0, finite=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -647,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="corrupted TDMA slot occurrences per "
                                "DES scenario")
-    p_verify.add_argument("--jitter", type=_nonnegative_float,
+    p_verify.add_argument("--jitter", type=_finite_nonnegative_float,
                           default=0.0,
                           metavar="T",
                           help="maximum per-process release jitter "
@@ -745,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="corrupted TDMA slot occurrences per "
                              "sampled faulty plan (DES-only axis)")
-    p_camp.add_argument("--jitter", type=_nonnegative_float,
+    p_camp.add_argument("--jitter", type=_finite_nonnegative_float,
                         default=0.0,
                         metavar="T",
                         help="maximum per-process release jitter per "

@@ -35,9 +35,22 @@ replay rule that bus effects land before attempts start.
 The candidate activations do not depend on the plan, so the engine
 compiles them once per design: the presorted activation stream the
 event queue merges into its clusters, each entry's observing node and
-guard (as indices into a flat knowledge array), the slots the tables
-reserve, and the TDMA bus. A plan only pushes its own fault-window,
-jitter, finish and delivery events.
+guard (as indices into a flat knowledge array), a *guard trie* over
+those guards, the slots the tables reserve, and the TDMA bus. A plan
+only pushes its own fault-window, jitter, finish and delivery events.
+
+Most entries never fire in a given plan: the tables carry a column
+for every scenario. The trie shares guard prefixes — a node is a
+prefix of ``(slot, faulty)`` literals in chronological order, its
+members the stream positions whose guard ends there — and a plan
+matches it as knowledge arrives: the root starts matched; a matched
+node wakes its members in the queue and descends into the child of
+every slot whose value is, or later becomes, known. The trie ignores
+knowledge times and only prunes: a woken entry still passes the full
+guard check of :meth:`OnlineEngine._activate`, and an entry whose
+guard holds when its cluster runs had its whole path matched by then,
+so it was woken. The fired entries are exactly those of a walk that
+guard-checks every entry.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from dataclasses import dataclass
 
 from repro.comm.tdma import TdmaBus
 from repro.des.events import DesEvent, DesEventKind
-from repro.des.queue import EventQueue, QueuedEvent
+from repro.des.queue import EventQueue, Stream
 from repro.ftcpg.conditions import AttemptId
 from repro.ftcpg.scenarios import DesFaultPlan
 from repro.model.application import Application
@@ -60,7 +73,9 @@ from repro.utils.mathutils import TIME_EPS, fgt, flt
 
 CopyKey = tuple[str, int]
 
-#: Cluster-internal event priorities (lower runs first).
+#: Cluster-internal event priorities (lower runs first). Activations
+#: are the queue's stream, which runs after every pushed event of its
+#: cluster — rank ``P_ACTIVATE``.
 P_FAULT = 0
 P_DELIVER = 1
 P_FINISH = 2
@@ -130,7 +145,7 @@ class OnlineEngine:
             return tuple((slot(literal.attempt, node), literal.faulty)
                          for literal in entry.guard.literals)
 
-        stream: list[QueuedEvent] = []
+        activations: list[_Activation] = []
         for entry in sorted(schedule.entries,
                             key=lambda e: (e.start, _ENTRY_RANK[e.kind])):
             latest = entry.start + TIME_EPS
@@ -153,11 +168,35 @@ class OnlineEngine:
                 activation = _Activation(
                     entry, node, guard_on(entry, node), latest,
                     own=slot(entry.attempt, node))
-            stream.append((entry.start, P_ACTIVATE, len(stream),
-                           activation))
+            activations.append(activation)
         #: The activation stream, in ``(start, kind-rank)`` order.
-        self._stream: tuple[QueuedEvent, ...] = tuple(stream)
+        self._activations: tuple[_Activation, ...] = tuple(activations)
+        self._stream = Stream([a.entry.start for a in activations])
         self._slot_count = len(slots)
+
+        # The guard trie; node 0 (the empty guard) is the root.
+        members: list[list[int]] = [[]]
+        edges: list[dict[int, list[int]]] = [{}]
+        for position, activation in enumerate(activations):
+            node = 0
+            for literal_slot, faulty in activation.guard:
+                children = edges[node].setdefault(literal_slot, [-1, -1])
+                if children[faulty] < 0:
+                    children[faulty] = len(members)
+                    members.append([])
+                    edges.append({})
+                node = children[faulty]
+            members[node].append(position)
+        #: Per trie node: the stream positions whose guard ends there.
+        self._members: tuple[tuple[int, ...], ...] = tuple(
+            tuple(positions) for positions in members)
+        #: Per trie node: ``(slot, (child if ok, child if faulty))``
+        #: per child slot, -1 where no guard continues that way.
+        self._edges: tuple[tuple[tuple[int, tuple[int, int]], ...],
+                           ...] = tuple(
+            tuple((literal_slot, (children[0], children[1]))
+                  for literal_slot, children in node_edges.items())
+            for node_edges in edges)
 
     def run(self, plan: DesFaultPlan,
             ) -> tuple[SimulationResult, list[DesEvent]]:
@@ -191,6 +230,11 @@ class OnlineEngine:
 
         queue = EventQueue(self._stream)
         self.queue = queue
+        #: Guard-trie nodes matched so far, and per knowledge slot the
+        #: child pairs of the matched nodes waiting on its value.
+        self.matched = bytearray(len(self._members))
+        self.waiting: dict[int, list[tuple[int, int]]] = {}
+        self._match(0)
         for window in plan.windows:
             queue.push(window.t_on, P_FAULT, ("fault-on", window))
             queue.push(window.t_off, P_FAULT, ("fault-off", window))
@@ -200,12 +244,12 @@ class OnlineEngine:
                 release = self.app.process(name).release + delay
                 queue.push(release, P_FAULT, ("jitter", name, delay))
 
+        activations = self._activations
         while queue:
-            for _time, priority, _seq, payload in queue.pop_cluster():
-                if priority == P_ACTIVATE:
-                    self._activate(payload)
-                else:
-                    self._dispatch(payload)
+            for _time, _priority, _seq, payload in queue.pop_cluster():
+                self._dispatch(payload)
+            for position in queue.pop_woken():
+                self._activate(activations[position])
         return self._finish(), self.events
 
     # -- event dispatch -----------------------------------------------------
@@ -239,6 +283,29 @@ class OnlineEngine:
         existing = self.known[slot]
         if existing is None or at < existing[0]:
             self.known[slot] = (at, faulty)
+            if existing is None or existing[1] != faulty:
+                matched = self.matched
+                for children in self.waiting.get(slot, ()):
+                    child = children[faulty]
+                    if child >= 0 and not matched[child]:
+                        self._match(child)
+
+    def _match(self, node: int) -> None:
+        """Match one guard-trie node: wake its members, then wait on
+        each child slot — registrations stay, so a later flip matches
+        the other child too — and descend where the value is known."""
+        self.matched[node] = 1
+        wake = self.queue.wake
+        for position in self._members[node]:
+            wake(position)
+        known, matched, waiting = self.known, self.matched, self.waiting
+        for slot, children in self._edges[node]:
+            waiting.setdefault(slot, []).append(children)
+            observed = known[slot]
+            if observed is not None:
+                child = children[observed[1]]
+                if child >= 0 and not matched[child]:
+                    self._match(child)
 
     # -- activation ---------------------------------------------------------
 
@@ -248,9 +315,10 @@ class OnlineEngine:
         nominal start.
 
         Unknown or later-arriving literals mean the runtime on that
-        location cannot activate the entry — it simply does not fire
-        (the quiet majority: tables carry entries for *all*
-        scenarios)."""
+        location cannot activate the entry — it simply does not fire.
+        Only entries the guard trie woke get here (tables carry
+        entries for *all* scenarios, and the trie prunes the quiet
+        majority), but this check alone decides."""
         known = self.known
         latest = activation.latest
         for slot, faulty in activation.guard:

@@ -21,6 +21,7 @@ lets callers check the size first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Mapping
 
@@ -97,10 +98,11 @@ class FaultWindow:
     t_off: float
 
     def __post_init__(self) -> None:
-        if not self.t_off > self.t_on:
+        if not (math.isfinite(self.t_on) and math.isfinite(self.t_off)
+                and self.t_off > self.t_on):
             raise ValidationError(
-                f"fault window must satisfy t_on < t_off, got "
-                f"[{self.t_on}, {self.t_off})")
+                f"fault window must satisfy t_on < t_off, both finite, "
+                f"got [{self.t_on}, {self.t_off})")
 
     def hits(self, start: float, end: float) -> bool:
         """Whether an attempt busy over ``[start, end)`` overlaps the
@@ -147,6 +149,13 @@ class DesFaultPlan:
     windows: tuple[FaultWindow, ...] = ()
     slot_faults: tuple[SlotFault, ...] = ()
     jitter: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for process, delay in self.jitter.items():
+            if not math.isfinite(delay):
+                raise ValidationError(
+                    f"release jitter must be finite, got {process}+"
+                    f"{delay}")
 
     @property
     def is_table_expressible(self) -> bool:

@@ -31,6 +31,7 @@ the design and transparency-aware tables it built.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from collections.abc import Mapping
@@ -120,9 +121,9 @@ class VerifyConfig:
             raise ValueError(
                 f"max_scenarios must be >= 1, got {self.max_scenarios}")
         if self.des_scenarios < 0 or self.intermittent < 0 \
-                or self.slot_faults < 0 or self.jitter < 0:
+                or self.slot_faults < 0 or not 0 <= self.jitter < math.inf:
             raise ValueError(
-                "DES knobs must be >= 0, got des_scenarios="
+                "DES knobs must be finite and >= 0, got des_scenarios="
                 f"{self.des_scenarios} intermittent="
                 f"{self.intermittent} slot_faults={self.slot_faults} "
                 f"jitter={self.jitter}")

@@ -223,6 +223,13 @@ class TestCampaignRunner:
         with pytest.raises(ValueError, match="certify_max_scenarios"):
             CampaignConfig(certify_max_scenarios=0)
 
+    @pytest.mark.parametrize("jitter", [float("inf"), float("nan")])
+    def test_non_finite_jitter_rejected(self, jitter):
+        """An ``inf`` release delay once reached the DES event queue
+        and hung the run; NaN slipped past ``jitter < 0``."""
+        with pytest.raises(ValueError, match="finite"):
+            CampaignConfig(jitter=jitter)
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown campaign preset"):
             load_campaign_workload({"preset": "nope"})

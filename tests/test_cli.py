@@ -398,6 +398,9 @@ class TestEngineFlagValidation:
         ["verify", "--neighborhood", "-1"],
         ["campaign", "--iterations", "-1"],
         ["dse", "--neighborhood", "-4"],
+        # A non-finite release jitter once hung the DES event queue.
+        ["verify", "--jitter", "inf"],
+        ["campaign", "--jitter", "inf"],
     ])
     def test_bad_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

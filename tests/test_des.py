@@ -16,6 +16,9 @@ import pytest
 
 from repro.des import DesSimulator
 from repro.des.events import DesEventKind
+from repro.des.online import OnlineEngine
+from repro.des.queue import EventQueue
+from repro.errors import ValidationError
 from repro.ftcpg.scenarios import (
     DesFaultPlan,
     FaultPlan,
@@ -106,6 +109,20 @@ class TestDesFaultPlan:
         assert window.hits(8.0, 12.0)
         assert not window.hits(9.0, 12.0)  # [t_on, t_off) is half-open
         assert not window.hits(0.0, 4.0)
+
+    @pytest.mark.parametrize("t_on, t_off", [
+        (200.0, float("inf")), (float("-inf"), 9.0),
+        (float("nan"), 9.0), (4.0, float("nan"))])
+    def test_non_finite_window_rejected(self, t_on, t_off):
+        """A window open until ``inf`` once hung the forward engine:
+        its fault-off event anchored a cluster at ``inf``."""
+        with pytest.raises(ValidationError, match="finite"):
+            FaultWindow("N1", t_on, t_off)
+
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+    def test_non_finite_jitter_rejected(self, delay):
+        with pytest.raises(ValidationError, match="finite"):
+            DesFaultPlan(base=FaultPlan({}), jitter={"P1": delay})
 
     def test_budget_error_matches_replay_wording(self, fig5_design):
         app, arch, mapping, policies, fm, schedule = fig5_design
@@ -204,3 +221,121 @@ class TestDesOnlyAxes:
         calm = des.run(DesFaultPlan(base=FaultPlan({}),
                                     jitter={"P1": 0.0}))
         assert calm.result.ok, calm.result.errors[:1]
+
+
+class TestLiveWalk:
+    """The forward engine guard-checks only the entries its guard trie
+    wakes; the full check in ``_activate`` still decides what fires."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record the stream positions woken (with the queue cursor at
+        the time) and the entries ``_activate`` guard-checks."""
+        woken, checked = [], []
+        wake, activate = EventQueue.wake, OnlineEngine._activate
+
+        def recording_wake(queue, position):
+            woken.append((position, queue._cursor))
+            wake(queue, position)
+
+        def recording_activate(engine, activation):
+            checked.append(activation.entry)
+            activate(engine, activation)
+
+        monkeypatch.setattr(EventQueue, "wake", recording_wake)
+        monkeypatch.setattr(OnlineEngine, "_activate", recording_activate)
+        return woken, checked
+
+    @staticmethod
+    def _entry(schedule, label, start):
+        [entry] = [e for e in schedule.entries
+                   if e.attempt is not None and e.start == start
+                   and e.kind.name == "ATTEMPT"
+                   and e.attempt.label() == label]
+        return entry
+
+    def test_checks_only_woken_entries(self, fig5_design, monkeypatch):
+        app, arch, mapping, policies, fm, schedule = fig5_design
+        woken, checked = self._record(monkeypatch)
+        engine = OnlineEngine(app, arch, mapping, policies, fm, schedule)
+        engine.run(DesFaultPlan(base=FaultPlan({}),
+                                windows=(FaultWindow("N1", 4.0, 9.0),)))
+        assert len(checked) == len({position for position, _ in woken})
+        assert len(checked) < len(schedule.entries) // 2
+
+    def test_woken_entry_with_late_knowledge_does_not_fire(
+            self, fig5_design, monkeypatch):
+        """Fig. 5: a window fails P1 on N1 at 30, and its retry
+        ``P1^1/2`` (guard: P1 faulty) is due at 30. With every
+        observation recorded 1.0 late, the trie — which ignores
+        knowledge times — still wakes the retry, but the value is
+        known only after ``start + TIME_EPS``: it must not fire."""
+        app, arch, mapping, policies, fm, schedule = fig5_design
+        retry = self._entry(schedule, "P1^1/2", 30.0)
+        plan = DesFaultPlan(base=FaultPlan({}),
+                            windows=(FaultWindow("N1", 4.0, 9.0),))
+        on_time = OnlineEngine(app, arch, mapping, policies, fm,
+                               schedule).run(plan)[0]
+        assert retry in on_time.fired_entries
+
+        woken, checked = self._record(monkeypatch)
+        learn = OnlineEngine._learn
+        monkeypatch.setattr(
+            OnlineEngine, "_learn",
+            lambda engine, slot, at, faulty: learn(engine, slot, at + 1.0,
+                                                   faulty))
+        late = OnlineEngine(app, arch, mapping, policies, fm,
+                            schedule).run(plan)[0]
+        assert retry in checked
+        assert retry not in late.fired_entries
+        assert not any(entry.guard.literals
+                       for entry in late.fired_entries)
+
+    def test_entry_learned_after_its_window_is_never_activated(
+            self, fig5_design, monkeypatch):
+        """Fig. 5: corrupting r8s0 loses P1's condition broadcast
+        (nominally delivered at 34); the retransmission delivers it at
+        42, after P4 (guard: P1 ok, on N2) was due at 38. The trie
+        wakes P4 only when the value lands — behind the queue's
+        cursor — so the entry is never guard-checked."""
+        app, arch, mapping, policies, fm, schedule = fig5_design
+        consumer = self._entry(schedule, "P4", 38.0)
+        woken, checked = self._record(monkeypatch)
+        engine = OnlineEngine(app, arch, mapping, policies, fm, schedule)
+        result, events = engine.run(DesFaultPlan(
+            base=FaultPlan({}), slot_faults=(SlotFault(8, 0),)))
+        [delivered] = [event for event in events if event.kind
+                       is DesEventKind.BROADCAST_DELIVERED
+                       and event.label == "F[P1]=ok"]
+        assert delivered.time == 42.0
+        late = [engine._activations[position].entry
+                for position, cursor in woken if position < cursor]
+        assert consumer in late
+        assert consumer not in checked
+        assert consumer not in result.fired_entries
+        assert "process 'P4' never completed" in " ".join(result.errors)
+
+    def test_a_flipped_value_matches_the_other_child(self, fig5_design):
+        """Trie registrations outlive a descent: when an earlier
+        observation flips a slot's value, the matched nodes waiting on
+        that slot descend into the other child too."""
+        app, arch, mapping, policies, fm, schedule = fig5_design
+        engine = OnlineEngine(app, arch, mapping, policies, fm, schedule)
+        # Fig. 5: the window fails P1 on N1; P1's own knowledge slot
+        # on N1 reads "faulty" from 30 on.
+        engine.run(DesFaultPlan(base=FaultPlan({}),
+                                windows=(FaultWindow("N1", 4.0, 9.0),)))
+        [slot] = [s for s, value in enumerate(engine.known)
+                  if value == (30.0, True)]
+        [(ok, faulty)] = [children for s, children in engine._edges[0]
+                          if s == slot]
+        assert engine.matched[faulty] and not engine.matched[ok]
+        engine._learn(slot, 29.0, False)
+        assert engine.matched[ok]
+        # That node (P1 ok) was matched with its own child slot (P2 on
+        # N1) already known: its registration must stand all the same.
+        [(inner, (_, inner_faulty))] = engine._edges[ok]
+        assert engine.known[inner] == (85.0, False)
+        assert not engine.matched[inner_faulty]
+        engine._learn(inner, 84.0, True)
+        assert engine.matched[inner_faulty]

@@ -384,6 +384,13 @@ class TestVerifyRunner:
         with pytest.raises(ValueError, match="max_scenarios"):
             VerifyConfig(max_scenarios=0)
 
+    @pytest.mark.parametrize("jitter", [float("inf"), float("nan")])
+    def test_non_finite_jitter_rejected(self, jitter):
+        """An ``inf`` release delay once reached the DES event queue
+        and hung the run; NaN slipped past ``jitter < 0``."""
+        with pytest.raises(ValueError, match="finite"):
+            VerifyConfig(des_scenarios=3, jitter=jitter)
+
     def test_des_scenarios_derive_each_design_once(self, derivations):
         config = VerifyConfig(**QUICK, des_scenarios=5)
         report = run_verification(
