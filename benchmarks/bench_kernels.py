@@ -3,8 +3,8 @@
 Two floors, both ratios (wall clock is CI noise; a collapsing speedup
 is a real regression on any machine):
 
-* the estimator kernel (``repro.kernels.estimator``) against
-  ``REPRO_KERNELS=0`` on a Fig. 7-scale estimation — same
+* the estimator kernel (``repro.kernels.estimator``) against the
+  pure-Python ``_EstimationRun`` on a Fig. 7-scale estimation — same
   :class:`~repro.schedule.estimation.FtEstimate`, bit for bit;
 * the batched scenario kernel (``repro.kernels.batch``) against
   per-plan :func:`~repro.runtime.simulate` on one synthesized design —
@@ -31,11 +31,12 @@ from itertools import islice
 from repro.campaigns.runner import synthesize_campaign_design
 from repro.eval.core import EvaluatorPool
 from repro.ftcpg import iter_fault_plans
-from repro.kernels import KERNELS_ENV
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime import simulate
 from repro.schedule import estimate_ft_schedule
+from repro.schedule.estimation import _EstimationRun
+from repro.schedule.priorities import partial_critical_path_priorities
 from repro.synthesis import initial_mapping
 from repro.synthesis.tabu import TabuSettings
 from repro.verify.runner import load_verify_workload
@@ -62,18 +63,13 @@ MIN_ESTIMATOR_SPEEDUP = 1.1
 MIN_BATCH_SPEEDUP = 20.0
 
 
-def _kernels_off():
-    """Environment patch forcing the pure-Python oracle."""
-    saved = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = "0"
-    return saved
-
-
-def _restore(saved):
-    if saved is None:
-        os.environ.pop(KERNELS_ENV, None)
-    else:
-        os.environ[KERNELS_ENV] = saved
+def _oracle_estimate(app, arch, mapping, policies, fault_model):
+    """``estimate_ft_schedule`` through the pure-Python oracle: one
+    fresh ``_EstimationRun`` with partial-critical-path priorities."""
+    priorities = partial_critical_path_priorities(app, arch)
+    run = _EstimationRun(app, arch, mapping, policies, fault_model.k,
+                         dict(priorities), True, "max")
+    return run.execute().estimate
 
 
 def test_estimator_kernel_speedup(benchmark):
@@ -89,17 +85,17 @@ def test_estimator_kernel_speedup(benchmark):
         return estimate_ft_schedule(app, arch, mapping, policies,
                                     fault_model, bus_contention=True)
 
-    def timed_reps():
+    def oracle_once():
+        return _oracle_estimate(app, arch, mapping, policies,
+                                fault_model)
+
+    def timed_reps(estimate):
         started = time.perf_counter()
         for __ in range(EST_REPS):
-            estimate_once()
+            estimate()
         return time.perf_counter() - started
 
-    saved = _kernels_off()
-    try:
-        oracle = estimate_once()
-    finally:
-        _restore(saved)
+    oracle = oracle_once()
 
     # Identical bits before any timing matters.
     assert estimate_once() == oracle
@@ -109,12 +105,8 @@ def test_estimator_kernel_speedup(benchmark):
     # both sides and the min-based ratio stays honest.
     oracle_time = kernel_time = float("inf")
     for __ in range(EST_TRIALS):
-        saved = _kernels_off()
-        try:
-            oracle_time = min(oracle_time, timed_reps())
-        finally:
-            _restore(saved)
-        kernel_time = min(kernel_time, timed_reps())
+        oracle_time = min(oracle_time, timed_reps(oracle_once))
+        kernel_time = min(kernel_time, timed_reps(estimate_once))
 
     kernel = benchmark.pedantic(estimate_once, rounds=3, iterations=1)
     assert kernel == oracle

@@ -56,12 +56,12 @@ from repro.engine.runner import (
 )
 from repro.des.core import DesSimulator
 from repro.eval.core import EvaluatorPool
-from repro.kernels import kernels_enabled, kernels_info
+from repro.kernels.batch import BatchedSimulator
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.runtime.faults import extend_fault_plans
-from repro.runtime.simulator import simulate
+from repro.runtime.simulator import simulate  # noqa: F401 (perfbench patch)
 from repro.schedule.estimation import FtEstimate
 from repro.schedule.table import ScheduleSet
 from repro.synthesis.strategies import StrategyResult, synthesize
@@ -362,31 +362,20 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
     slice_plans = chunk_slice(plans, int(params["chunk"]),
                               int(params["chunks"]))
 
-    des = None
+    simulator_args = (app, arch, result.mapping, result.policies,
+                      fault_model, schedule)
     if intermittent > 0 or slot_faults > 0 or jitter > 0:
-        des = DesSimulator(app, arch, result.mapping, result.policies,
-                           fault_model, schedule)
-    batched = None
-    if des is None and kernels_enabled():
-        # Table-expressible plans only (no DES axes): the batched
-        # kernel replays them bit-identically to simulate(), falling
-        # back to the oracle per plan for anything it cannot prove.
-        from repro.kernels.batch import BatchedSimulator
-        batched = BatchedSimulator(app, arch, result.mapping,
-                                   result.policies, fault_model,
-                                   schedule)
+        # The DES executes every plan: table-expressible ones through
+        # the replay oracle, extended ones forward.
+        run_plan = DesSimulator(*simulator_args).simulate
+    else:
+        # Table-expressible plans only: the batched kernel replays
+        # them bit-identically to simulate(), falling back to the
+        # oracle per plan for anything it cannot prove.
+        run_plan = BatchedSimulator(*simulator_args).simulate_plan
     stats = CampaignStats()
     for plan in slice_plans:
-        if des is not None:
-            # The DES executes every plan: table-expressible ones
-            # through the replay oracle, extended ones forward.
-            outcome = des.simulate(plan)
-        elif batched is not None:
-            outcome = batched.simulate_plan(plan)
-        else:
-            outcome = simulate(app, arch, result.mapping,
-                               result.policies, fault_model, schedule,
-                               plan)
+        outcome = run_plan(plan)
         stats.observe(outcome, bound=design.bound,
                       ff_length=result.estimate.ff_length,
                       deadline=app.deadline,
@@ -415,8 +404,7 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
         # for the shared design derivation.
         from repro.verify.core import ScenarioSweep
         from repro.verify.runner import scenario_limit_error, sweep_window
-        sweep = ScenarioSweep(app, arch, result.mapping, result.policies,
-                              fault_model, schedule)
+        sweep = ScenarioSweep(*simulator_args)
         error = scenario_limit_error(sweep.total, int(max_scenarios))
         payload["certificate"] = (
             {"skipped": str(error)} if error is not None
@@ -511,12 +499,6 @@ class CampaignReport:
             "plans_total": self.plans_total,
             "gap_hist_bin_pct": HIST_BIN_PCT,
             "stats": stats,
-            # One table set per design; DES-extended plans are not
-            # batch-eligible (deterministic shape, not live counters).
-            "kernels": kernels_info(
-                compiled_tables=1,
-                batched_scenarios=(0 if self.config.uses_des_axes
-                                   else self.plans_total)),
         }
         if self.verification is not None:
             payload["verification"] = self.verification.to_jsonable()

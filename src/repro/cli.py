@@ -94,7 +94,6 @@ from repro.dse import (
 from repro.engine import BACKENDS, BatchEngine, EngineConfig, JobOutcome
 from repro.engine.workdir import DEFAULT_LEASE_TIMEOUT, work
 from repro.eval import CACHE_DIR_ENV
-from repro.kernels import KERNELS_ENV, kernels_info
 from repro.lint import (
     RULE_IDS,
     lint_paths,
@@ -150,8 +149,6 @@ def _engine_config(args) -> EngineConfig:
     """
     if args.cache_dir:
         os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
-    if getattr(args, "no_kernels", False):
-        os.environ[KERNELS_ENV] = "0"
     return EngineConfig(
         workers=args.workers,
         checkpoint_path=args.checkpoint,
@@ -314,14 +311,6 @@ def _run_cell_sweep(args):
         "entries": stats.entries,
         "hit_rate": stats.hit_rate,
     }
-    # One compiled table set per sweep cell; campaign-sweep cells also
-    # replay their sampled plans and certified scenarios (deterministic
-    # shape, not live counters).
-    report.extra_info["kernels"] = kernels_info(
-        compiled_tables=len(cells),
-        batched_scenarios=sum(int(c.get("plans_total", 0))
-                              + int(c.get("verified_scenarios", 0))
-                              for c in cells))
     return report.write_json, report.write_csv
 
 
@@ -439,8 +428,6 @@ def _cmd_lint(args) -> int:
 def _cmd_worker(args) -> int:
     if args.cache_dir:
         os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
-    if args.no_kernels:
-        os.environ[KERNELS_ENV] = "0"
 
     def announce(job, result, elapsed):
         print(f"  [{job.job_id}] done in {elapsed:.1f}s", flush=True)
@@ -588,12 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "without it); also honored via the "
                             "REPRO_EVAL_CACHE_DIR environment "
                             "variable")
-        p.add_argument("--no-kernels", action="store_true",
-                       help="force the pure-Python oracle instead of "
-                            "the array-compiled kernels (exported as "
-                            "REPRO_KERNELS=0 so engine workers "
-                            "inherit it); reports are byte-identical "
-                            "either way")
 
     p_synth = sub.add_parser("synth", help="run one synthesis strategy")
     add_workload_args(p_synth)
@@ -894,9 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="persistent evaluation cache shared "
                                "with the coordinator (see the sweep "
                                "commands' --cache-dir)")
-    p_worker.add_argument("--no-kernels", action="store_true",
-                          help="force the pure-Python oracle (see the "
-                               "sweep commands' --no-kernels)")
     p_worker.set_defaults(func=_cmd_worker)
     return parser
 

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from repro.comm.tdma import TdmaBus
 from repro.des.events import DesEvent, DesEventKind
 from repro.des.queue import EventQueue, Stream
+from repro.errors import ValidationError
 from repro.ftcpg.conditions import AttemptId
 from repro.ftcpg.scenarios import DesFaultPlan
 from repro.model.application import Application
@@ -200,7 +201,18 @@ class OnlineEngine:
 
     def run(self, plan: DesFaultPlan,
             ) -> tuple[SimulationResult, list[DesEvent]]:
-        """Execute the schedule tables forward under ``plan``."""
+        """Execute the schedule tables forward under ``plan``; an axis
+        value naming nothing in the design raises ValidationError."""
+        for name in plan.jitter:
+            self.app.process(name)  # raises on an unknown process
+        for window in plan.windows:
+            self.arch.node(window.node)  # raises on an unknown node
+        slots = len(self.arch.bus.slot_order)
+        for fault in plan.slot_faults:
+            if fault.slot_index >= slots:
+                raise ValidationError(
+                    f"slot fault {fault.describe()} is beyond the "
+                    f"{slots} slot(s) of a TDMA round")
         self.plan = plan
         self.base = plan.base
         self.events: list[DesEvent] = []

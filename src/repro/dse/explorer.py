@@ -57,7 +57,6 @@ from repro.engine.runner import (
 from repro.errors import ReproError
 from repro.eval import Evaluator, EvaluatorPool
 from repro.ftcpg.scenarios import count_fault_plans
-from repro.kernels import kernels_info
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -452,10 +451,6 @@ class DseReport:
             "objectives": list(OBJECTIVE_NAMES),
             "archive": self.archive.to_jsonable(),
             "frontier": [p.to_jsonable() for p in self.frontier],
-            # One table set per design; DSE evaluates estimates only
-            # (deterministic shape, not live counters).
-            "kernels": kernels_info(compiled_tables=1,
-                                    batched_scenarios=0),
         }
 
     def to_json(self) -> str:

@@ -128,6 +128,12 @@ class SlotFault:
     round_index: int
     slot_index: int
 
+    def __post_init__(self) -> None:
+        if self.round_index < 0 or self.slot_index < 0:
+            raise ValidationError(
+                f"slot fault indices must be non-negative, got round "
+                f"{self.round_index} slot {self.slot_index}")
+
     def describe(self) -> str:
         """Human-readable summary, e.g. ``r2s0``."""
         return f"r{self.round_index}s{self.slot_index}"
@@ -156,6 +162,10 @@ class DesFaultPlan:
                 raise ValidationError(
                     f"release jitter must be finite, got {process}+"
                     f"{delay}")
+            if delay < 0:
+                raise ValidationError(
+                    f"release jitter must be non-negative, got "
+                    f"{process}{delay:+g}")
 
     @property
     def is_table_expressible(self) -> bool:

@@ -22,10 +22,10 @@ problem (or one design's schedule) into flat integer-indexed tables
 Bit-identity is the acceptance gate, as for the incremental
 re-evaluation of :mod:`repro.eval`: the kernels perform the
 *identical* IEEE arithmetic in the *identical* order as the
-pure-Python oracle, so every estimate, simulation result, report and
-cache key matches byte for byte. ``REPRO_KERNELS=0``
-forces the oracle everywhere — the escape hatch the differential
-tests in ``tests/test_oracle.py`` compare against.
+pure-Python oracles, so every estimate, simulation result, report and
+cache key matches byte for byte. The kernels are the only production
+path; the differential tests in ``tests/test_oracle.py`` call the
+oracles directly.
 
 Integer and float tables use plain Python ``list``/``array``/
 ``bytearray`` storage, so the kernels have no optional dependency and
@@ -34,59 +34,14 @@ every float they produce is a plain Python ``float``.
 
 from __future__ import annotations
 
-import os
-
-__all__ = [
-    "KERNELS_ENV",
-    "KernelCounters",
-    "counters",
-    "kernels_enabled",
-    "kernels_info",
-]
-
-#: Environment variable of the escape hatch (``0`` forces the oracle).
-KERNELS_ENV = "REPRO_KERNELS"
-
-
-def kernels_enabled() -> bool:
-    """Process-wide switch for the array-compiled kernels.
-
-    ``REPRO_KERNELS=0`` (or ``false``/``off``/``no``) forces the
-    pure-Python oracle everywhere — the mode the identity tests and
-    benchmark baselines compare against. Read at every decision point,
-    so tests can flip it per case and worker processes inherit the
-    choice through their environment.
-    """
-    value = os.environ.get(KERNELS_ENV, "1")
-    return value.strip().lower() not in ("0", "false", "off", "no")
-
-
-def kernels_info(*, compiled_tables: int,
-                 batched_scenarios: int) -> dict:
-    """The ``kernels`` telemetry block reports embed.
-
-    ``compiled_tables`` and ``batched_scenarios`` are deterministic
-    functions of the workload shape (how many table sets the run
-    implies and how many scenarios are batch-eligible), **not** live
-    counters — so a report differs between kernels-on and
-    ``REPRO_KERNELS=0`` runs in exactly one value: ``enabled``. The
-    differential tests normalize that single key and assert the rest
-    byte-identical.
-    """
-    return {
-        "enabled": kernels_enabled(),
-        "compiled_tables": compiled_tables,
-        "batched_scenarios": batched_scenarios,
-    }
+__all__ = ["KernelCounters", "counters"]
 
 
 class KernelCounters:
     """Process-local kernel telemetry (diagnostics, not reports).
 
-    Reports derive their ``kernels`` block from deterministic workload
-    shape (see ``docs/kernels.md``) so kernels-on and kernels-off runs
-    stay byte-identical; these live counters exist for tests and
-    interactive inspection only.
+    No report carries these live counters; they exist for tests,
+    interactive inspection and the ``perfbench`` trace.
     """
 
     __slots__ = ("problems_compiled", "schedules_compiled",

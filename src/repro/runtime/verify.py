@@ -9,8 +9,7 @@ sharded runner fanning scenario windows through the batch engine
 the original small-instance API — synchronous, single-process, a
 :class:`VerificationReport` with the full failing
 :class:`SimulationResult` objects — on top of that core; the results
-are bit-identical to the legacy serial ``simulate()`` loop (which
-``REPRO_KERNELS=0`` runs).
+are bit-identical to a serial ``simulate()`` loop over every plan.
 
 Exhaustive enumeration is exponential; callers should consult
 :func:`repro.ftcpg.scenarios.count_fault_plans` first (the

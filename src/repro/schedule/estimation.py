@@ -91,7 +91,6 @@ from repro.model.fault_model import FaultModel
 from repro.policies.recovery import CopyExecution
 from repro.policies.types import PolicyAssignment
 from repro.schedule.mapping import CopyMapping
-from repro.schedule.priorities import partial_critical_path_priorities
 
 CopyKey = tuple[str, int]
 
@@ -381,22 +380,13 @@ class EstimatorState:
             raise ValueError(
                 f"unknown slack_sharing {slack_sharing!r}, expected one "
                 f"of {SLACK_SHARING_MODES}")
-        # The array-compiled kernel performs the identical arithmetic
-        # in the identical order over precompiled tables;
-        # REPRO_KERNELS=0 forces this pure-Python oracle.
-        from repro.kernels import kernels_enabled
-        if kernels_enabled():
-            from repro.kernels.estimator import kernel_compute
-            return kernel_compute(
-                app, arch, mapping, policies, fault_model,
-                priorities=priorities, bus_contention=bus_contention,
-                slack_sharing=slack_sharing)
-        if priorities is None:
-            priorities = partial_critical_path_priorities(app, arch)
-        run = _EstimationRun(app, arch, mapping, policies,
-                             fault_model.k, dict(priorities),
-                             bus_contention, slack_sharing)
-        return run.execute()
+        # The array-compiled kernel: a fresh _EstimationRun's arithmetic
+        # in the identical order. Lazy: the kernels import this module.
+        from repro.kernels.estimator import kernel_compute
+        return kernel_compute(
+            app, arch, mapping, policies, fault_model,
+            priorities=priorities, bus_contention=bus_contention,
+            slack_sharing=slack_sharing)
 
     # -- incremental path -----------------------------------------------------
 

@@ -12,14 +12,13 @@ façade over a contiguous window of the
   their plans;
 * each plan replays through the batched scenario kernel
   (:class:`~repro.kernels.batch.BatchedSimulator`, which falls back to
-  the oracle per plan for anything it cannot prove clean), or, under
-  ``REPRO_KERNELS=0``, through :func:`~repro.runtime.simulator.simulate`
-  itself.
+  the oracle :func:`~repro.runtime.simulator.simulate` per plan for
+  anything it cannot prove clean).
 
-Either way the **bit-identity invariant** holds: for every plan the
-sweep yields exactly the :class:`SimulationResult` that
-``simulate(...)`` returns (pinned by ``tests/test_verify_engine.py``
-and ``tests/test_oracle.py``).
+The **bit-identity invariant** holds: for every plan the sweep yields
+exactly the :class:`SimulationResult` that ``simulate(...)`` returns
+(pinned by ``tests/test_verify_engine.py`` and
+``tests/test_oracle.py``).
 
 Sharding slices the scenario order into **contiguous** windows
 (:func:`chunk_bounds`) — not the stride slices campaigns use: a
@@ -33,13 +32,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.ftcpg.scenarios import plan_enumeration
-from repro.kernels import kernels_enabled
 from repro.kernels.batch import BatchedSimulator
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.types import PolicyAssignment
-from repro.runtime.simulator import SimulationResult, simulate
+from repro.runtime.simulator import SimulationResult
+from repro.runtime.simulator import simulate  # noqa: F401 (perfbench patch)
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import ScheduleSet
 
@@ -86,12 +85,7 @@ class ScenarioSweep:
     def results(self, start: int = 0, stop: int | None = None,
                 ) -> Iterator[SimulationResult]:
         """Simulate scenarios ``start .. stop-1`` of the enumeration."""
-        plans = self._enum.plans(start, stop)
-        if not kernels_enabled():
-            for plan in plans:
-                yield simulate(*self._design, plan)
-            return
         if self._batched is None:
             self._batched = BatchedSimulator(*self._design)
-        for plan in plans:
+        for plan in self._enum.plans(start, stop):
             yield self._batched.simulate_plan(plan)

@@ -22,10 +22,10 @@ window, and returns streaming
 :class:`~repro.verify.stats.VerificationStats`; the parent folds
 chunk stats in job-submission order, which makes serial and parallel
 verification reports byte-identical — and, because the sweep is
-bit-identical to one-shot simulation, identical to a run with
-``REPRO_KERNELS=0`` as well, up to the report's ``kernels.enabled``
-flag. Chunk 0 also runs the DES-only scenarios (``des_scenarios``) on
-the design and transparency-aware tables it built.
+bit-identical to one-shot simulation, identical to a fold of
+``simulate()`` over every plan. Chunk 0 also runs the DES-only
+scenarios (``des_scenarios``) on the design and transparency-aware
+tables it built.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.engine.runner import (
 from repro.errors import ToleranceViolationError
 from repro.eval.core import EvaluatorPool
 from repro.ftcpg.scenarios import count_fault_plans
-from repro.kernels import kernels_info
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -214,11 +213,9 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     Pure function of its params (the engine's worker contract): the
     design and the scenario order derive from the seed alone, so every
     chunk reproduces the identical instance and only its contiguous
-    window differs. Whether the sweep runs the batched kernel or the
-    oracle (``REPRO_KERNELS=0``) never shows in the result — the two
-    paths are bit-identical and the flag stays out of the payload.
-    With ``des_scenarios`` in the params, chunk 0's payload also
-    carries :func:`run_des_scenarios`' section for the same tables.
+    window differs. With ``des_scenarios`` in the params, chunk 0's
+    payload also carries :func:`run_des_scenarios`' section for the
+    same tables.
     """
     app, arch, transparency = load_verify_workload(params["workload"])
     k = int(params["k"])
@@ -368,11 +365,6 @@ class VerifyReport:
             "certified": self.ok,
             "stats": stats,
             "des": self.des,
-            # One table set per design; every enumerated scenario is
-            # batch-eligible (deterministic shape, not live counters).
-            "kernels": kernels_info(
-                compiled_tables=1,
-                batched_scenarios=self.scenarios_total),
         }
 
     def to_json(self) -> str:

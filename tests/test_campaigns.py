@@ -357,15 +357,15 @@ class TestCampaignRunner:
         assert workdir.to_json() == serial.to_json()
 
     @pytest.mark.parametrize("extra, digest", [
-        (["--chunks", "1"], "d54e3c0220d049a970ed7a87f6e19479"
-                            "864f270dbcddef6ab6d88fd094e2d627"),
-        (["--chunks", "3"], "1e94d3add6e80b4fe24a4f98743fe03a"
-                            "72d8edaa7bfc4234be31cabe9b83359d"),
+        (["--chunks", "1"], "0e2c43df758678e10b48cdaecf5e440c"
+                            "8cdd7c0a56909ae5567e71db784fd1ba"),
+        (["--chunks", "3"], "273dbdfc04fa0dee52f3fc1bf649a358"
+                            "025c89910bab79b70efe9d18e669acfe"),
         # Beyond the scenario budget: the certificate is skipped.
         (["--chunks", "3", "--certify-max-scenarios", "1"],
-         "a85932a8f835c1f82502ea8a227c8855"
-         "d33bae237f2222443d2fde3a12577a3a"),
-    ])
+         "9fb9c9dac0c2b2b88447dd15ba12598e"
+         "7b90228ddaf73c2bb536df9b0ea8b87d"),
+    ], ids=["chunks1", "chunks3", "skipped"])
     def test_certified_report_bytes_pinned(self, tmp_path, capsys,
                                            extra, digest):
         """Report bytes of the certified CI smoke campaign at two

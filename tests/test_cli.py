@@ -210,13 +210,13 @@ class TestBatchCommand:
 
     @pytest.mark.parametrize("experiment, json_digest, csv_digest", [
         ("fig7",
-         "5db7878d2311ec4772526790512a3270"
-         "30999ddd0b9f8482f8748d1d2ef1819c",
+         "71443463bc15dbe10fea7753bb2d83fd"
+         "acda13342ef30c9082d13a50e11c7d2f",
          "950b6c7a116eebf2c8228f6f294a5039"
          "e27675efebec3b3a884399fd611501ae"),
         ("fig8",
-         "7c219bfd3bec4897de9984188c1df199"
-         "0edfd6f33a4de11041c866c3321cc934",
+         "5d2975a9bd954af32389bbf88265ec65"
+         "2a0cc80dcfb0f1c725c2748fd6795160",
          "3183eee2602de6a60b720ffae151a7ee"
          "6b7b3f96c3b67265430e1f09c85b6176"),
     ], ids=["fig7", "fig8"])

@@ -124,6 +124,29 @@ class TestDesFaultPlan:
         with pytest.raises(ValidationError, match="finite"):
             DesFaultPlan(base=FaultPlan({}), jitter={"P1": delay})
 
+    @pytest.mark.parametrize("axes", [
+        pytest.param(lambda: {"jitter": {"P1": -3.0}},
+                     id="negative-jitter"),
+        pytest.param(lambda: {"slot_faults": (SlotFault(-1, 0),)},
+                     id="negative-round"),
+        pytest.param(lambda: {"slot_faults": (SlotFault(0, -5),)},
+                     id="negative-slot"),
+        # Fig. 5 has 2 slots per TDMA round.
+        pytest.param(lambda: {"slot_faults": (SlotFault(0, 7),)},
+                     id="slot-beyond-round"),
+        pytest.param(lambda: {"jitter": {"PX": 3.0}},
+                     id="unknown-process"),
+        pytest.param(lambda: {"windows": (FaultWindow("N9", 0.0, 500.0),)},
+                     id="unknown-node"),
+    ])
+    def test_axis_value_naming_nothing_rejected(self, fig5_design,
+                                                axes):
+        """Each of these values once ran forward and reported ok,
+        the slot and window cases counted as injected faults."""
+        des = DesSimulator(*fig5_design)
+        with pytest.raises(ValidationError):
+            des.run(DesFaultPlan(base=FaultPlan({}), **axes()))
+
     def test_budget_error_matches_replay_wording(self, fig5_design):
         app, arch, mapping, policies, fm, schedule = fig5_design
         overloaded = FaultPlan({("P1", 0): (fm.k + 1,)})

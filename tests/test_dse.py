@@ -555,15 +555,15 @@ class TestDseCli:
         assert out.exists()
 
     @pytest.mark.parametrize("extra, digest", [
-        (["--chunks", "1"], "3a654f128f7511c4f8015d17eb1a7cd2"
-                            "1ca7d01b825d5494d3f9ff479d6b128e"),
-        (["--chunks", "3"], "ab5f4eb7454ca9960363b714cd9db2a9"
-                            "9d19c26d48fc726cd9553b6c45240fc5"),
+        (["--chunks", "1"], "ad8a6b58d7c81f0d11a3f5660b858101"
+                            "bf6e2bcfe63b3e89f64d5a8492796b64"),
+        (["--chunks", "3"], "2014cf1b3dd60bd21231e5204317c544"
+                            "4b1b303db9ef100a6f49e0c160e39108"),
         # Every design beyond the budget: all flags None.
         (["--chunks", "3", "--verify-max-scenarios", "1"],
-         "05176f50ab3a8cc5b33b5d1be5cafc60"
-         "cfbd175be1d10d82c5648857428c5519"),
-    ])
+         "efc5a86927d02496366af5064f77ef53"
+         "f71df3ce80d72fb1b26229f32fc6f9ce"),
+    ], ids=["chunks1", "chunks3", "skipped"])
     def test_certified_report_bytes_pinned(self, tmp_path, extra,
                                            digest):
         """Report bytes of the CI smoke command at two chunk layouts

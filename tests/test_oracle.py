@@ -31,9 +31,11 @@ decidability check by design (a pinned frozen start keeps its context
 guard until compression collapses it).
 
 A fourth leg holds the **array-compiled kernels**
-(:mod:`repro.kernels`) against ``REPRO_KERNELS=0``. Every design the
-grid visits asserts full :class:`~repro.schedule.estimation.FtEstimate`
-equality kernel-on vs oracle (both slack-sharing modes) and full
+(:mod:`repro.kernels`) against the pure-Python oracles, called
+directly. Every design the grid visits asserts full
+:class:`~repro.schedule.estimation.FtEstimate` equality of the
+estimator kernel and the ``_EstimationRun`` oracle (both
+slack-sharing modes, through :func:`oracles.oracle_compute`) and full
 ``SimulationResult`` equality of every swept scenario (the batched
 scenario kernel behind :class:`~repro.verify.core.ScenarioSweep`)
 against a one-shot ``simulate()``; a hypothesis property walks random
@@ -48,9 +50,6 @@ hypothesis-drawn workload shapes on top.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -59,7 +58,6 @@ from repro.campaigns.stats import estimate_bound
 from repro.dse.explorer import DEFAULT_SETTINGS, apply_checkpoint_counts
 from repro.dse.space import SpaceConfig, enumerate_candidates
 from repro.eval.core import EvaluatorPool
-from repro.kernels import KERNELS_ENV
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime.simulator import simulate
@@ -71,6 +69,8 @@ from repro.synthesis.tabu import TabuSettings
 from repro.verify.core import ScenarioSweep
 from repro.verify.stats import VerificationStats
 from repro.workloads.generator import GeneratorConfig, generate_workload
+
+from oracles import oracle_compute
 
 #: Tiny search budget: the oracle checks the *evaluation seam*, not
 #: the search quality, so the cheapest design that exercises the
@@ -85,20 +85,6 @@ GRID_SEEDS = tuple(range(25))
 #: The acceptance floor: designs covered by the deterministic grid.
 GRID_DESIGNS = len(GRID_SEEDS) * len(STRATEGIES) * len(K_VALUES)
 assert GRID_DESIGNS >= 200
-
-
-@contextmanager
-def _kernels_env(value: str):
-    """Pin ``REPRO_KERNELS`` for the duration of one computation."""
-    saved = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = value
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(KERNELS_ENV, None)
-        else:
-            os.environ[KERNELS_ENV] = saved
 
 
 def _raw_results(app, arch, mapping, policies, fault_model, priorities,
@@ -134,9 +120,8 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
     stats = VerificationStats()
     for result, raw in zip(sweep.results(), raw_results, strict=True):
         stats.observe(result)
-        # Kernel vs simulator: the sweep (the batched scenario kernel
-        # unless REPRO_KERNELS=0) reproduces the one-shot replay bit
-        # for bit.
+        # Kernel vs simulator: the sweep (the batched scenario
+        # kernel) reproduces the one-shot replay bit for bit.
         assert result == simulate(
             app, arch, design.mapping, design.policies, fault_model,
             schedule, result.plan), (
@@ -170,16 +155,14 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
     for mode in ("budgeted", "max"):
         if mode == "max" and not pure:
             continue
-        with _kernels_env("1"):
-            estimate = estimate_ft_schedule(
-                app, arch, design.mapping, design.policies,
-                fault_model, slack_sharing=mode)
+        estimate = estimate_ft_schedule(
+            app, arch, design.mapping, design.policies, fault_model,
+            slack_sharing=mode)
         # Kernel vs estimator oracle: full FtEstimate equality —
         # every timing, bit for bit.
-        with _kernels_env("0"):
-            oracle_estimate = estimate_ft_schedule(
-                app, arch, design.mapping, design.policies,
-                fault_model, slack_sharing=mode)
+        oracle_estimate = oracle_compute(
+            app, arch, design.mapping, design.policies, fault_model,
+            slack_sharing=mode).estimate
         assert estimate == oracle_estimate, (
             f"{label}: estimator kernel diverged in {mode} mode")
         # The bare estimate + broadcast allowance is the certified
@@ -285,14 +268,12 @@ def _policy_options(k: int) -> tuple[ProcessPolicy, ...]:
 def _assert_state_identity(app, arch, mapping, policies, fault_model,
                            mode: str) -> EstimatorState:
     """Kernel compute == oracle compute; return the kernel state."""
-    with _kernels_env("1"):
-        state = EstimatorState.compute(
-            app, arch, mapping, policies, fault_model,
-            bus_contention=True, slack_sharing=mode)
-    with _kernels_env("0"):
-        oracle = EstimatorState.compute(
-            app, arch, mapping, policies, fault_model,
-            bus_contention=True, slack_sharing=mode)
+    state = EstimatorState.compute(
+        app, arch, mapping, policies, fault_model,
+        bus_contention=True, slack_sharing=mode)
+    oracle = oracle_compute(
+        app, arch, mapping, policies, fault_model,
+        bus_contention=True, slack_sharing=mode)
     assert state.estimate == oracle.estimate, (
         f"estimator kernel diverged ({mode} mode)")
     return state
@@ -303,9 +284,9 @@ class TestKernelsMoveWalkProperty:
 
     Each accepted move closes a three-way identity: the array kernel's
     ``EstimatorState.compute`` equals the pure-Python compute
-    (``REPRO_KERNELS=0``) equals the incremental ``reevaluate`` from
-    the pre-move state — full ``FtEstimate`` equality, in both
-    slack-sharing modes.
+    (:func:`oracles.oracle_compute`) equals the incremental
+    ``reevaluate`` from the pre-move state — full ``FtEstimate``
+    equality, in both slack-sharing modes.
     """
 
     RELAXED = settings(max_examples=10, deadline=None,

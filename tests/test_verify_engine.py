@@ -5,7 +5,7 @@ Three layers:
 * the **scenario sweep** — plan order identical to
   :func:`repro.ftcpg.scenarios.iter_fault_plans` (every enumeration
   window included), every yielded result bit-identical to a one-shot
-  ``simulate()``, kernel output equal to ``REPRO_KERNELS=0`` output,
+  ``simulate()`` (the CI smoke's k = 3 MX design included),
   contiguous windows partitioning the order exactly;
 * the **stats** — merging chunk aggregates in any grouping equals the
   single-stream fold, JSON round-trips, and the frozen-start records
@@ -26,12 +26,12 @@ import repro.verify.runner as verify_runner
 from repro.cli import main as cli_main
 from repro.engine import EngineConfig
 from repro.errors import ToleranceViolationError
+from repro.eval.core import EvaluatorPool
 from repro.ftcpg.scenarios import (
     count_fault_plans,
     iter_fault_plans,
     plan_enumeration,
 )
-from repro.kernels import KERNELS_ENV
 from repro.model import (
     Application,
     Architecture,
@@ -78,6 +78,21 @@ def _design(app, arch, policies, mapping, k):
     fm = FaultModel(k=k)
     schedule = synthesize_schedule(app, arch, mapping, policies, fm)
     return fm, schedule
+
+
+def _chunk_design(config):
+    """The ``(app, arch, mapping, policies, fault_model, schedule)``
+    design every ``run_verify_chunk`` of ``config`` derives."""
+    app, arch, transparency = load_verify_workload(config.workload)
+    fm = FaultModel(k=config.k)
+    pool = EvaluatorPool()
+    result = verify_runner.synthesize_campaign_design(
+        app, arch, config.k, config.strategy, config.settings,
+        config.seed, pool=pool)
+    schedule = pool.evaluator_for(app, arch, fm).exact_schedule(
+        result.policies, result.mapping, transparency,
+        max_contexts=config.max_contexts)
+    return app, arch, result.mapping, result.policies, fm, schedule
 
 
 QUICK_SETTINGS = TabuSettings(iterations=4, neighborhood=4,
@@ -188,10 +203,9 @@ class TestScenarioSweep:
         for row in table:
             assert all(a <= b for a, b in zip(row, row[1:]))
 
-    def test_forced_full_oracle_matches(self, pipeline_setup,
-                                        monkeypatch):
-        """Kernel output through the façade equals its
-        ``REPRO_KERNELS=0`` output, window by window."""
+    def test_forced_full_oracle_matches(self, pipeline_setup):
+        """Kernel output through the façade equals ``simulate()`` per
+        plan, window by window."""
         app, arch = pipeline_setup
         policies = PolicyAssignment.uniform(
             app, ProcessPolicy.re_execution(1))
@@ -200,13 +214,31 @@ class TestScenarioSweep:
         fm, schedule = _design(app, arch, policies, mapping, 1)
         sweep = ScenarioSweep(app, arch, mapping, policies, fm,
                               schedule)
-        windows = [(0, None), (1, 3), (2, sweep.total)]
-        monkeypatch.setenv(KERNELS_ENV, "1")
-        got = [list(sweep.results(lo, hi)) for lo, hi in windows]
-        monkeypatch.setenv(KERNELS_ENV, "0")
-        want = [list(sweep.results(lo, hi)) for lo, hi in windows]
-        assert got == want
-        assert len(got[0]) == sweep.total
+        plans = list(iter_fault_plans(app, policies, fm.k))
+        for lo, hi in [(0, None), (1, 3), (2, sweep.total)]:
+            want = [simulate(app, arch, mapping, policies, fm,
+                             schedule, plan) for plan in plans[lo:hi]]
+            assert list(sweep.results(lo, hi)) == want, (lo, hi)
+        assert len(plans) == sweep.total
+
+    def test_deep_k_design_matches_oracle(self):
+        """The design of ``repro verify --processes 6 --nodes 2 --seed
+        1 --k 3 --strategy MX`` at the CLI's default tabu budget:
+        every swept result equals ``simulate()``."""
+        config = VerifyConfig(
+            workload={"processes": 6, "nodes": 2, "seed": 1}, k=3,
+            strategy="MX", seed=1,
+            settings=TabuSettings(iterations=24, neighborhood=16,
+                                  bus_contention=False))
+        app, arch, mapping, policies, fm, schedule = \
+            _chunk_design(config)
+        sweep = ScenarioSweep(app, arch, mapping, policies, fm,
+                              schedule)
+        assert sweep.total == 84
+        plans = iter_fault_plans(app, policies, fm.k)
+        for plan, result in zip(plans, sweep.results(), strict=True):
+            assert result == simulate(app, arch, mapping, policies, fm,
+                                      schedule, plan), plan.describe()
 
 
 class TestVerificationStats:
@@ -457,11 +489,11 @@ class TestVerifyRunner:
         assert again.to_json() == plain.to_json()
 
     @pytest.mark.parametrize("chunks, digest", [
-        ("1", "dd288c63f4c04caa33c5694ef44f7d96"
-              "8f3461f9cf58a5c8e6ae6169c8804d53"),
-        ("3", "21ed9002c6c9c5d9f6c6ecb550b9d8c2"
-              "e47d4cb10370c7c1fa21881c768754d9"),
-    ])
+        ("1", "37a91d3023e1334f70e54fa90313b206"
+              "fea31ca2ff44a2c787c28ce1bd025e95"),
+        ("3", "080fa9d4d84e1fb9262735e4bf4fe6f4"
+              "641219f91ba3c55280010876c3bf1f2a"),
+    ], ids=["chunks1", "chunks3"])
     def test_des_report_bytes_pinned(self, tmp_path, capsys, chunks,
                                      digest):
         out = tmp_path / "verify.json"
