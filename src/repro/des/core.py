@@ -28,7 +28,11 @@ from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.types import PolicyAssignment
-from repro.runtime.simulator import SimulationResult, simulate
+from repro.runtime.simulator import (
+    SimulationResult,
+    _validate_plan,
+    simulate,
+)
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet
 
@@ -71,8 +75,10 @@ class DesSimulator:
         Table-expressible plans report against their plain
         :class:`~repro.ftcpg.scenarios.FaultPlan` (a bare
         ``DesFaultPlan`` unwraps to its base), keeping the result
-        bit-comparable with the oracle's.
+        bit-comparable with the oracle's. A plan naming something the
+        design lacks raises ValidationError on either path.
         """
+        _validate_plan(self.app, self.arch, self.policies, plan)
         if isinstance(plan, DesFaultPlan):
             if not plan.is_table_expressible:
                 if self._engine is None:

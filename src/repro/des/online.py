@@ -60,14 +60,13 @@ from dataclasses import dataclass
 from repro.comm.tdma import TdmaBus
 from repro.des.events import DesEvent, DesEventKind
 from repro.des.queue import EventQueue, Stream
-from repro.errors import ValidationError
 from repro.ftcpg.conditions import AttemptId
 from repro.ftcpg.scenarios import DesFaultPlan
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.types import PolicyAssignment
-from repro.runtime.simulator import SimulationResult
+from repro.runtime.simulator import SimulationResult, _validate_plan
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
 from repro.utils.mathutils import TIME_EPS, fgt, flt
@@ -201,18 +200,10 @@ class OnlineEngine:
 
     def run(self, plan: DesFaultPlan,
             ) -> tuple[SimulationResult, list[DesEvent]]:
-        """Execute the schedule tables forward under ``plan``; an axis
-        value naming nothing in the design raises ValidationError."""
-        for name in plan.jitter:
-            self.app.process(name)  # raises on an unknown process
-        for window in plan.windows:
-            self.arch.node(window.node)  # raises on an unknown node
-        slots = len(self.arch.bus.slot_order)
-        for fault in plan.slot_faults:
-            if fault.slot_index >= slots:
-                raise ValidationError(
-                    f"slot fault {fault.describe()} is beyond the "
-                    f"{slots} slot(s) of a TDMA round")
+        """Execute the schedule tables forward under ``plan``; a fault
+        count or axis value naming nothing in the design raises
+        ValidationError."""
+        _validate_plan(self.app, self.arch, self.policies, plan)
         self.plan = plan
         self.base = plan.base
         self.events: list[DesEvent] = []

@@ -103,8 +103,21 @@ class Guard:
         return not self._literals
 
     def extended(self, literal: ConditionLiteral) -> "Guard":
-        """This guard AND one more literal."""
-        return Guard(self._literals + (literal,))
+        """This guard AND one more literal.
+
+        A literal over a new attempt is appended to copies of this
+        guard's literals and attempt map, which is what the constructor
+        would build from them; a repeated or contradictory one goes
+        through the constructor.
+        """
+        if literal.attempt in self._by_attempt:
+            return Guard(self._literals + (literal,))
+        guard = Guard.__new__(Guard)
+        guard._literals = self._literals + (literal,)
+        by_attempt = self._by_attempt.copy()
+        by_attempt[literal.attempt] = literal.faulty
+        guard._by_attempt = by_attempt
+        return guard
 
     def value_of(self, attempt: AttemptId) -> bool | None:
         """The required value of an attempt's condition, or ``None``."""

@@ -338,8 +338,8 @@ class BatchedSimulator:
         success: dict[int, bool] = {}
         for key, counts in plan.faults.items():
             cidx = self._copy_of.get(key)
-            if cidx is None:
-                return None
+            if cidx is None or len(counts) > self._copy_segments[cidx]:
+                return None  # names nothing here: simulate() raises
             if any(counts):  # an all-zero distribution is the base state
                 success[cidx] = self._patch_copy(state, cidx, counts)
         fired_ids = self._fired_ids(state, list(success))

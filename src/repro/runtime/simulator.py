@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
+from repro.errors import ValidationError
 from repro.ftcpg.conditions import AttemptId
-from repro.ftcpg.scenarios import FaultPlan
+from repro.ftcpg.scenarios import DesFaultPlan, FaultPlan
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
@@ -41,6 +42,40 @@ from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
 from repro.utils.mathutils import eps_cluster_ids, fgt, flt
 
 CopyKey = tuple[str, int]
+
+
+def _validate_plan(app: Application, arch: Architecture,
+                   policies: PolicyAssignment,
+                   plan: FaultPlan | DesFaultPlan) -> None:
+    """Raise ValidationError when a plan names something the design
+    lacks: a process, copy or segment in its fault counts, or (for a
+    DES plan) a jittered process, a window's node or a slot beyond the
+    TDMA round. Replay would otherwise run such a plan fault-free while
+    it still counts its faults."""
+    if isinstance(plan, DesFaultPlan):
+        for name in plan.jitter:
+            app.process(name)  # raises on an unknown process
+        for window in plan.windows:
+            arch.node(window.node)  # raises on an unknown node
+        slots = len(arch.bus.slot_order)
+        for fault in plan.slot_faults:
+            if fault.slot_index >= slots:
+                raise ValidationError(
+                    f"slot fault {fault.describe()} is beyond the "
+                    f"{slots} slot(s) of a TDMA round")
+        plan = plan.base
+    for (process, copy), counts in plan.faults.items():
+        app.process(process)  # raises on an unknown process
+        copies = policies.of(process).copies
+        if not 0 <= copy < len(copies):
+            raise ValidationError(
+                f"fault plan names copy {copy} of {process!r}, which "
+                f"has {len(copies)} copy(ies)")
+        if len(counts) > copies[copy].segments:
+            raise ValidationError(
+                f"fault plan gives {len(counts)} segment counts for "
+                f"copy {copy} of {process!r}, which has "
+                f"{copies[copy].segments} segment(s)")
 
 
 def _ground_truth(policies: PolicyAssignment, plan: FaultPlan,
@@ -117,7 +152,9 @@ def simulate(
     schedule: ScheduleSet,
     plan: FaultPlan,
 ) -> SimulationResult:
-    """Execute the schedule tables under one fault scenario."""
+    """Execute the schedule tables under one fault scenario; a plan
+    naming something the design lacks raises ValidationError."""
+    _validate_plan(app, arch, policies, plan)
     executed, copy_success = _ground_truth(policies, plan)
     fired = _replay_order([e for e in schedule.entries
                            if _guard_fires(e, executed)])

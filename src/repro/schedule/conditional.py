@@ -3,6 +3,13 @@
 The scheduler explores a **context tree**. A context is one partially
 resolved fault scenario: the conjunction of condition values observed
 so far (its guard), the per-copy progress, the processor and bus state.
+It also carries the copies still waiting for inputs, re-checked only
+after a delivery, and per node the time at which every condition of
+its guard is known there — a running maximum that each fork raises by
+the new condition's detection or broadcast arrival, so no step
+re-scans the guard. Static per-copy data (node, release, inputs,
+outputs, priority, execution times) is built once per scheduler, and
+only the last fixpoint pass's entries become table objects.
 Scheduling inside a context is deterministic (PCP priorities); when a
 fault-prone attempt's detection point is reached, the context forks on
 the condition value — the detection time is identical in both children
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Mapping
 
 from repro.comm.reservations import BusReservations
@@ -71,25 +78,25 @@ DEFAULT_MAX_CONTEXTS = 50_000
 _MAX_FROZEN_PASSES = 30
 
 
-@dataclass(frozen=True)
 class _CopyState:
-    """Progress of one copy inside a context (immutable: forks share)."""
+    """Progress of one copy inside a context.
 
-    segment: int = 1
-    attempt: int = 1
-    local_faults: int = 0
-    ready: float = 0.0
-    status: str = "waiting"  # waiting | ready | running | done
-    finish: float | None = None
+    Forked contexts share these objects, so none is ever changed in
+    place: every step builds a new one.
+    """
 
+    __slots__ = ("segment", "attempt", "local_faults", "ready", "status",
+                 "finish")
 
-@dataclass(frozen=True)
-class _Knowledge:
-    """Where and when a condition value becomes known."""
-
-    node: str
-    local_time: float
-    remote_time: float
+    def __init__(self, segment: int, attempt: int, local_faults: int,
+                 ready: float, status: str,
+                 finish: float | None = None) -> None:
+        self.segment = segment
+        self.attempt = attempt
+        self.local_faults = local_faults
+        self.ready = ready
+        self.status = status  # waiting | ready | running | done
+        self.finish = finish
 
 
 @dataclass(frozen=True)
@@ -104,40 +111,75 @@ class _Send:
     frozen: bool
 
 
-class _Context:
-    """Mutable scheduling state of one branch of the context tree."""
+class _CopyInfo:
+    """What the scheduler needs of one copy in every context, built once.
 
-    __slots__ = ("guard", "budget_used", "states", "node_free", "bus",
-                 "sends", "branches", "avail", "known", "done_count")
+    ``inputs`` holds per input message its name and the number of
+    producer copies; ``outputs`` per output message its name, whether
+    it is frozen, whether it crosses the bus and its size.
+    """
+
+    __slots__ = ("node", "release", "inputs", "outputs", "frozen",
+                 "neg_priority", "execution", "segments")
+
+    def __init__(self, node: str, release: float,
+                 inputs: tuple[tuple[str, int], ...],
+                 outputs: tuple[tuple[str, bool, bool, int], ...],
+                 frozen: bool, neg_priority: float,
+                 execution: CopyExecution) -> None:
+        self.node = node
+        self.release = release
+        self.inputs = inputs
+        self.outputs = outputs
+        self.frozen = frozen
+        self.neg_priority = neg_priority
+        self.execution = execution
+        self.segments = execution.segments
+
+
+class _Context:
+    """Mutable scheduling state of one branch of the context tree.
+
+    ``waiting`` lists the copies still waiting for inputs, to re-check
+    when ``avail`` has changed since the last check (``avail_changed``);
+    ``wait[node]`` is when every condition of ``guard`` is known on
+    ``node`` (the latest detection or broadcast arrival among them).
+    """
+
+    __slots__ = ("guard", "budget_used", "states", "waiting",
+                 "avail_changed", "node_free", "bus", "sends", "branches",
+                 "avail", "wait")
 
     def __init__(self, guard: Guard, budget_used: int,
-                 states: dict[CopyKey, _CopyState],
-                 node_free: dict[str, float], bus: BusReservations,
-                 sends: list[_Send], branches: list, avail: dict,
-                 known: dict[AttemptId, _Knowledge], done_count: int) -> None:
+                 states: dict[CopyKey, _CopyState], waiting: list[CopyKey],
+                 avail_changed: bool, node_free: dict[str, float],
+                 bus: BusReservations, sends: list[_Send], branches: list,
+                 avail: dict, wait: dict[str, float]) -> None:
         self.guard = guard
         self.budget_used = budget_used
         self.states = states
+        self.waiting = waiting
+        self.avail_changed = avail_changed
         self.node_free = node_free
         self.bus = bus
         self.sends = sends
         self.branches = branches
         self.avail = avail
-        self.known = known
-        self.done_count = done_count
+        self.wait = wait
 
     def fork(self) -> "_Context":
         return _Context(
             guard=self.guard,
             budget_used=self.budget_used,
             states=dict(self.states),
+            waiting=list(self.waiting),
+            avail_changed=self.avail_changed,
             node_free=dict(self.node_free),
             bus=self.bus.fork(),
             sends=list(self.sends),
             branches=list(self.branches),
             avail=dict(self.avail),
-            known=dict(self.known),
-            done_count=self.done_count,
+            wait=dict(self.wait),
         )
 
 
@@ -175,38 +217,58 @@ class ConditionalScheduler:
         self._multi_node = len(arch.node_names) > 1
 
         # Static copy info.
-        self._copies: dict[CopyKey, CopyExecution] = {}
-        self._copy_node: dict[CopyKey, str] = {}
-        for process_name, policy in policies.items():
-            process = app.process(process_name)
-            for copy_index, plan in enumerate(policy.copies):
-                key = (process_name, copy_index)
-                node = mapping.node_of(process_name, copy_index)
-                self._copy_node[key] = node
-                self._copies[key] = CopyExecution(
-                    wcet=process.wcet_on(node), plan=plan,
-                    alpha=process.alpha, mu=process.mu, chi=process.chi)
+        copy_node: dict[CopyKey, str] = {
+            (process_name, copy_index): mapping.node_of(process_name,
+                                                        copy_index)
+            for process_name, policy in policies.items()
+            for copy_index in range(len(policy.copies))}
         #: message name -> True if some consumer copy is on another node
         #: than some producer copy (then the bus carries it).
         self._needs_bus: dict[str, bool] = {}
         for message in app.messages:
             consumer_nodes = {
-                self._copy_node[(message.dst, c)]
+                copy_node[(message.dst, c)]
                 for c in range(len(policies.of(message.dst).copies))
             }
             self._needs_bus[message.name] = any(
-                consumer_nodes - {self._copy_node[(message.src, c)]}
+                consumer_nodes - {copy_node[(message.src, c)]}
                 for c in range(len(policies.of(message.src).copies))
             )
+        self._info: dict[CopyKey, _CopyInfo] = {}
+        for process_name, policy in policies.items():
+            process = app.process(process_name)
+            inputs = tuple(
+                (message.name, len(policies.of(message.src).copies))
+                for message in app.inputs_of(process_name))
+            outputs = tuple(
+                (message.name,
+                 self._transparency.is_frozen_message(message.name),
+                 self._needs_bus[message.name], message.size_bytes)
+                for message in app.outputs_of(process_name))
+            for copy_index, plan in enumerate(policy.copies):
+                key = (process_name, copy_index)
+                node = copy_node[key]
+                self._info[key] = _CopyInfo(
+                    node=node, release=process.release, inputs=inputs,
+                    outputs=outputs,
+                    frozen=self._transparency.is_frozen_process(
+                        process_name),
+                    neg_priority=-self._priorities[process_name],
+                    execution=CopyExecution(
+                        wcet=process.wcet_on(node), plan=plan,
+                        alpha=process.alpha, mu=process.mu,
+                        chi=process.chi))
 
         # Frozen pins, updated by the fixpoint driver.
         self._process_pins: dict[CopyKey, float] = {}
         self._message_pins: dict[tuple[str, int], float] = {}
         self._pinned_transmissions: dict[tuple[str, int], Transmission] = {}
 
-        # Per-pass accumulators.
-        self._entries: list[TableEntry] = []
-        self._leaves: list[LeafScenario] = []
+        # Per-pass accumulators: entries as ``TableEntry`` field tuples
+        # and leaves as (guard, makespan); only the last pass's become
+        # table objects.
+        self._entries: list[tuple] = []
+        self._leaves: list[tuple[Guard, float]] = []
         self._contexts_explored = 0
         self._needed_process_pins: dict[CopyKey, float] = {}
         self._needed_message_pins: dict[tuple[str, int], float] = {}
@@ -223,22 +285,35 @@ class ConditionalScheduler:
             raise SchedulingError(
                 "frozen start times did not stabilize within "
                 f"{_MAX_FROZEN_PASSES} passes")
-        ff_leaves = [leaf for leaf in self._leaves
+        leaves = tuple(LeafScenario(guard=guard, makespan=makespan)
+                       for guard, makespan in self._leaves)
+        ff_leaves = [leaf for leaf in leaves
                      if leaf.guard.fault_count() == 0]
         if len(ff_leaves) != 1:
             raise SchedulingError(
                 f"expected exactly one fault-free scenario, got "
                 f"{len(ff_leaves)}")
         return ScheduleSet(
-            entries=tuple(sorted(
-                self._entries,
-                key=lambda e: (e.location, e.start, len(e.guard),
-                               str(e.guard)))),
-            leaves=tuple(self._leaves),
-            worst_case_length=max(l.makespan for l in self._leaves),
+            entries=self._sorted_entries(),
+            leaves=leaves,
+            worst_case_length=max(l.makespan for l in leaves),
             fault_free_length=ff_leaves[0].makespan,
             deadline=self._app.deadline,
         )
+
+    def _sorted_entries(self) -> tuple[TableEntry, ...]:
+        """The last pass's entries by (location, start, guard length,
+        guard text). One context's entries share its guard object and
+        are placed in a row, so each guard's text is built once."""
+        keys = []
+        guard = label = None
+        for row in self._entries:
+            if row[2] is not guard:
+                guard = row[2]
+                label = str(guard)
+            keys.append((row[1], row[3], len(guard), label))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return tuple(TableEntry(*self._entries[i]) for i in order)
 
     # -- fixpoint driver -------------------------------------------------------
 
@@ -265,24 +340,25 @@ class ConditionalScheduler:
         self._reserve_pinned_transmissions(root_bus)
 
         states: dict[CopyKey, _CopyState] = {}
-        for key in self._copies:
-            process = self._app.process(key[0])
+        waiting: list[CopyKey] = []
+        for key, info in self._info.items():
             if not self._app.predecessors(key[0]):
-                states[key] = _CopyState(status="ready",
-                                         ready=process.release)
+                states[key] = _CopyState(1, 1, 0, info.release, "ready")
             else:
-                states[key] = _CopyState(status="waiting")
+                states[key] = _CopyState(1, 1, 0, 0.0, "waiting")
+                waiting.append(key)
         root = _Context(
             guard=Guard.TRUE,
             budget_used=0,
             states=states,
+            waiting=waiting,
+            avail_changed=True,
             node_free={n: 0.0 for n in self._arch.node_names},
             bus=root_bus,
             sends=[],
             branches=[],
             avail={},
-            known={},
-            done_count=0,
+            wait={n: 0.0 for n in self._arch.node_names},
         )
         self._explore(root)
 
@@ -296,7 +372,7 @@ class ConditionalScheduler:
             if not self._needs_bus[message_name]:
                 continue
             message = self._app.message(message_name)
-            node = self._copy_node[(message.src, producer_copy)]
+            node = self._info[(message.src, producer_copy)].node
             transmission = self._bus.schedule_transmission(
                 node, ready, message.size_bytes, root_bus)
             self._pinned_transmissions[(message_name, producer_copy)] = \
@@ -311,7 +387,8 @@ class ConditionalScheduler:
                 f"conditional scheduling exceeded {self._max_contexts} "
                 "contexts; reduce k or use the estimation scheduler")
         while True:
-            self._refresh_ready(ctx)
+            if ctx.avail_changed:
+                self._refresh_ready(ctx)
             branch_time = ctx.branches[0][0] if ctx.branches else None
 
             attempt_choice = self._best_attempt(ctx)
@@ -347,42 +424,43 @@ class ConditionalScheduler:
             raise SchedulingError(
                 f"context ended with unfinished copies: {unfinished}")
         makespan = max(st.finish for st in ctx.states.values())
-        self._leaves.append(LeafScenario(guard=ctx.guard, makespan=makespan))
+        self._leaves.append((ctx.guard, makespan))
 
     # -- readiness --------------------------------------------------------------
 
     def _refresh_ready(self, ctx: _Context) -> None:
-        for key, state in list(ctx.states.items()):
-            if state.status != "waiting":
+        ctx.avail_changed = False
+        if not ctx.waiting:
+            return
+        still_waiting = []
+        for key in ctx.waiting:
+            ready = self._inputs_delivered(ctx, self._info[key])
+            if ready is None:
+                still_waiting.append(key)
                 continue
-            node = self._copy_node[key]
-            ready = self._app.process(key[0]).release
-            satisfied = True
-            for message in self._app.inputs_of(key[0]):
-                producer_policy = self._policies.of(message.src)
-                for producer_copy in range(len(producer_policy.copies)):
-                    delivery = self._delivery_time(
-                        ctx, message.name, producer_copy, node)
-                    if delivery is None:
-                        satisfied = False
-                        break
-                    ready = max(ready, delivery)
-                if not satisfied:
-                    break
-            if satisfied:
-                ctx.states[key] = replace(state, status="ready", ready=ready)
+            state = ctx.states[key]
+            ctx.states[key] = _CopyState(state.segment, state.attempt,
+                                         state.local_faults, ready, "ready")
+        ctx.waiting = still_waiting
 
-    def _delivery_time(self, ctx: _Context, message_name: str,
-                       producer_copy: int, node: str) -> float | None:
-        """When (message, producer copy) is available on ``node``;
-        ``None`` when not yet scheduled."""
-        record = ctx.avail.get((message_name, producer_copy))
-        if record is None:
-            return None
-        src_node, local_time, bus_arrival = record
-        if src_node == node:
-            return local_time
-        return bus_arrival
+    @staticmethod
+    def _inputs_delivered(ctx: _Context, info: _CopyInfo) -> float | None:
+        """When every producer copy of every input of a copy has
+        delivered to its node (not before its release); ``None`` while
+        one is not yet scheduled."""
+        ready = info.release
+        for message_name, producers in info.inputs:
+            for producer_copy in range(producers):
+                record = ctx.avail.get((message_name, producer_copy))
+                if record is None:
+                    return None
+                src_node, local_time, bus_arrival = record
+                delivery = (local_time if src_node == info.node
+                            else bus_arrival)
+                if delivery is None:
+                    return None
+                ready = max(ready, delivery)
+        return ready
 
     # -- action selection ---------------------------------------------------------
 
@@ -391,36 +469,25 @@ class ConditionalScheduler:
         for key, state in ctx.states.items():
             if state.status != "ready":
                 continue
-            start = self._attempt_start(ctx, key, state)
-            priority = self._priorities[key[0]]
-            candidate = (start, -priority, key)
+            info = self._info[key]
+            candidate = (self._attempt_start(ctx, key, info, state),
+                         info.neg_priority, key)
             if best is None or candidate < best:
                 best = candidate
         return best
 
-    def _attempt_start(self, ctx: _Context, key: CopyKey,
+    def _attempt_start(self, ctx: _Context, key: CopyKey, info: _CopyInfo,
                        state: _CopyState) -> float:
-        node = self._copy_node[key]
-        is_frozen_first = (
-            state.segment == 1 and state.attempt == 1
-            and self._transparency.is_frozen_process(key[0]))
-        pin = self._process_pins.get(key) if is_frozen_first else None
-        if pin is not None:
-            # A pinned frozen start is scenario-independent: the node
-            # fires it unconditionally, so no condition knowledge is
-            # required (its guard collapses under compression).
-            return max(state.ready, ctx.node_free[node], pin)
-        return max(state.ready, ctx.node_free[node],
-                   self._guard_wait(ctx, node))
-
-    def _guard_wait(self, ctx: _Context, node: str) -> float:
-        wait = 0.0
-        for literal in ctx.guard.literals:
-            knowledge = ctx.known[literal.attempt]
-            known_at = (knowledge.local_time if knowledge.node == node
-                        else knowledge.remote_time)
-            wait = max(wait, known_at)
-        return wait
+        node = info.node
+        if info.frozen and state.segment == 1 and state.attempt == 1:
+            pin = self._process_pins.get(key)
+            if pin is not None:
+                # A pinned frozen start is scenario-independent: the
+                # node fires it unconditionally, so no condition
+                # knowledge is required (its guard collapses under
+                # compression).
+                return max(state.ready, ctx.node_free[node], pin)
+        return max(state.ready, ctx.node_free[node], ctx.wait[node])
 
     def _best_send(self, ctx: _Context):
         best = None
@@ -440,7 +507,7 @@ class ConditionalScheduler:
                         send.message, send.producer_copy, send.ready)
                     start = self._probe_send_start(ctx, send, send.ready)
             else:
-                ready = max(send.ready, self._guard_wait(ctx, send.node))
+                ready = max(send.ready, ctx.wait[send.node])
                 start = self._probe_send_start(ctx, send, ready)
             candidate = (start, index)
             if best is None or candidate < best:
@@ -466,19 +533,19 @@ class ConditionalScheduler:
     def _place_attempt(self, ctx: _Context, choice) -> None:
         start, _neg_priority, key = choice
         state = ctx.states[key]
-        execution = self._copies[key]
-        node = self._copy_node[key]
+        info = self._info[key]
+        execution = info.execution
+        node = info.node
 
-        is_frozen_first = (
-            state.segment == 1 and state.attempt == 1
-            and self._transparency.is_frozen_process(key[0]))
+        is_frozen_first = (info.frozen and state.segment == 1
+                           and state.attempt == 1)
         if is_frozen_first:
             needed = self._needed_process_pins.get(key, -1.0)
             self._needed_process_pins[key] = max(needed, start)
 
         can_fail = ctx.budget_used < self._k
-        plan = execution.plan
-        can_recover = can_fail and state.local_faults < plan.recoveries
+        can_recover = can_fail and \
+            state.local_faults < execution.plan.recoveries
         # A frozen activation must behave identically in every
         # scenario: its node cannot know the remaining fault budget at
         # the pinned start, so error detection always runs (the Fig. 1c
@@ -487,18 +554,14 @@ class ConditionalScheduler:
         duration = execution.attempt_duration(state.attempt,
                                               can_fail=detection)
         attempt_id = AttemptId(key[0], key[1], state.segment, state.attempt)
-        self._entries.append(TableEntry(
-            kind=EntryKind.ATTEMPT,
-            location=node,
-            guard=ctx.guard,
-            start=start,
-            duration=duration,
-            attempt=attempt_id,
-            can_fail=detection,
-        ))
+        self._entries.append((EntryKind.ATTEMPT, node, ctx.guard, start,
+                              duration, attempt_id, None, None, (),
+                              detection))
         finish = start + duration
         ctx.node_free[node] = finish
-        ctx.states[key] = replace(state, status="running")
+        ctx.states[key] = _CopyState(state.segment, state.attempt,
+                                     state.local_faults, state.ready,
+                                     "running")
 
         if can_recover:
             heapq.heappush(
@@ -511,31 +574,32 @@ class ConditionalScheduler:
     def _complete_segment(self, ctx: _Context, key: CopyKey,
                           finish: float) -> None:
         state = ctx.states[key]
-        execution = self._copies[key]
-        if state.segment < execution.segments:
-            ctx.states[key] = replace(
-                state, segment=state.segment + 1, attempt=1,
-                status="ready", ready=finish)
+        info = self._info[key]
+        if state.segment < info.segments:
+            ctx.states[key] = _CopyState(state.segment + 1, 1,
+                                         state.local_faults, finish,
+                                         "ready")
             return
-        ctx.states[key] = replace(state, status="done", finish=finish)
-        ctx.done_count += 1
-        process_name, copy_index = key
-        node = self._copy_node[key]
-        for message in self._app.outputs_of(process_name):
-            frozen = self._transparency.is_frozen_message(message.name)
+        ctx.states[key] = _CopyState(state.segment, state.attempt,
+                                     state.local_faults, state.ready,
+                                     "done", finish)
+        copy_index = key[1]
+        node = info.node
+        for message_name, frozen, needs_bus, size_bytes in info.outputs:
             local_time = finish
             if frozen:
                 local_time = max(self._message_pins.get(
-                    (message.name, copy_index), finish), finish)
-                self._need_message_pin(message.name, copy_index, finish)
-            ctx.avail[(message.name, copy_index)] = (node, local_time, None)
-            if self._needs_bus[message.name]:
+                    (message_name, copy_index), finish), finish)
+                self._need_message_pin(message_name, copy_index, finish)
+            ctx.avail[(message_name, copy_index)] = (node, local_time, None)
+            ctx.avail_changed = True
+            if needs_bus:
                 ctx.sends.append(_Send(
-                    message=message.name,
+                    message=message_name,
                     producer_copy=copy_index,
                     node=node,
                     ready=local_time,
-                    size_bytes=message.size_bytes,
+                    size_bytes=size_bytes,
                     frozen=frozen,
                 ))
 
@@ -548,24 +612,19 @@ class ConditionalScheduler:
             transmission = pinned
         else:
             ready = (send.ready if pinned is not None
-                     else max(send.ready, self._guard_wait(ctx, send.node)))
-            message = self._app.message(send.message)
+                     else max(send.ready, ctx.wait[send.node]))
             transmission = self._bus.schedule_transmission(
-                send.node, ready, message.size_bytes, ctx.bus)
-        self._entries.append(TableEntry(
-            kind=EntryKind.MESSAGE,
-            location=BUS,
-            guard=ctx.guard,
-            start=transmission.start,
-            duration=transmission.arrival - transmission.start,
-            message=send.message,
-            producer_copy=send.producer_copy,
-            frames=transmission.frames,
-        ))
+                send.node, ready, send.size_bytes, ctx.bus)
+        self._entries.append((EntryKind.MESSAGE, BUS, ctx.guard,
+                              transmission.start,
+                              transmission.arrival - transmission.start,
+                              None, send.message, send.producer_copy,
+                              transmission.frames, False))
         src_node, local_time, __ = ctx.avail[(send.message,
                                               send.producer_copy)]
         ctx.avail[(send.message, send.producer_copy)] = (
             src_node, local_time, transmission.arrival)
+        ctx.avail_changed = True
 
     # -- branching ---------------------------------------------------------------
 
@@ -579,7 +638,7 @@ class ConditionalScheduler:
         outcome is certain and the context continues linearly.
         """
         detect, __, key, attempt_id = heapq.heappop(ctx.branches)
-        node = self._copy_node[key]
+        node = self._info[key].node
 
         if ctx.budget_used >= self._k:
             self._complete_segment(ctx, key, detect)
@@ -588,20 +647,21 @@ class ConditionalScheduler:
         if self._multi_node:
             transmission = self._bus.schedule_transmission(
                 node, detect, self._cond_size, ctx.bus)
-            self._entries.append(TableEntry(
-                kind=EntryKind.BROADCAST,
-                location=BUS,
-                guard=ctx.guard,
-                start=transmission.start,
-                duration=transmission.arrival - transmission.start,
-                attempt=attempt_id,
-                frames=transmission.frames,
-            ))
+            self._entries.append((EntryKind.BROADCAST, BUS, ctx.guard,
+                                  transmission.start,
+                                  transmission.arrival - transmission.start,
+                                  attempt_id, None, None,
+                                  transmission.frames, False))
             remote = transmission.arrival
         else:
             remote = detect
-        ctx.known[attempt_id] = _Knowledge(
-            node=node, local_time=detect, remote_time=remote)
+        # Both children's guards gain this condition: it is known at
+        # the detection on its own node and at the broadcast arrival
+        # elsewhere.
+        wait = ctx.wait
+        for other in wait:
+            wait[other] = max(wait[other],
+                              detect if other == node else remote)
 
         ok_ctx = ctx.fork()
         ok_ctx.guard = ctx.guard.extended(
@@ -613,10 +673,9 @@ class ConditionalScheduler:
             ConditionLiteral(attempt_id, faulty=True))
         fault_ctx.budget_used += 1
         state = fault_ctx.states[key]
-        fault_ctx.states[key] = replace(
-            state, attempt=state.attempt + 1,
-            local_faults=state.local_faults + 1,
-            status="ready", ready=detect)
+        fault_ctx.states[key] = _CopyState(state.segment, state.attempt + 1,
+                                           state.local_faults + 1, detect,
+                                           "ready")
 
         self._explore(ok_ctx)
         self._explore(fault_ctx)

@@ -102,7 +102,6 @@ class TabuSearch:
         evaluator: Evaluator | None = None,
     ) -> None:
         self._app = app
-        self._arch = arch
         self._fault_model = fault_model
         self._policy_space = policy_space
         self._settings = settings or TabuSettings()
@@ -115,6 +114,24 @@ class TabuSearch:
                 app, arch, fault_model, priorities=self._priorities)
         self._evaluator = evaluator
         self._evaluations = 0
+        # What a move draw reads of each process, built once: a policy
+        # move per policy of its space (``None`` below two policies), to
+        # test applicability and duplicates, the allowed nodes the
+        # architecture has (in ``allowed_nodes`` order) and whether its
+        # original is pinned to a fixed node.
+        self._names = app.process_names
+        self._draw_options: dict[
+            str, tuple[tuple[PolicyMove, ...] | None, tuple[str, ...],
+                       bool]] = {}
+        node_names = arch.node_names
+        for process in app.processes:
+            space = (tuple(policy_space(process.name))
+                     if policy_space is not None else ())
+            self._draw_options[process.name] = (
+                tuple(PolicyMove(process.name, policy) for policy in space)
+                if len(space) > 1 else None,
+                tuple(n for n in process.allowed_nodes if n in node_names),
+                process.fixed_node is not None)
 
     # -- cost ------------------------------------------------------------------
 
@@ -175,7 +192,7 @@ class TabuSearch:
         ``tests/test_tabu_determinism.py``.
         """
         policies, mapping = solution
-        names = self._app.process_names
+        names = self._names
         moves: list[RemapMove | PolicyMove] = []
         seen: set[tuple] = set()
         attempts = 0
@@ -183,32 +200,36 @@ class TabuSearch:
         while len(moves) < limit and attempts < limit * 8:
             attempts += 1
             process_name = rng.choice(names)
-            process = self._app.process(process_name)
-            policy = policies.of(process_name)
-            can_switch = (self._policy_space is not None
-                          and len(self._policy_space(process_name)) > 1)
-            if can_switch and rng.random() < 0.4:
-                candidate = rng.choice(
-                    list(self._policy_space(process_name)))
-                move = PolicyMove(process_name, candidate)
-            else:
-                copy_index = rng.randint(0, len(policy.copies) - 1)
-                if copy_index == 0 and process.fixed_node is not None:
+            policy_moves, nodes, fixed = self._draw_options[process_name]
+            index = None
+            if policy_moves is not None and rng.random() < 0.4:
+                index = rng.choice(range(len(policy_moves)))
+                move = policy_moves[index]
+                if not move.applies_to(solution):
                     continue
-                options = [n for n in process.allowed_nodes
-                           if n in self._arch.node_names
-                           and n != mapping.node_of(process_name,
-                                                    copy_index)]
+            else:
+                copy_index = rng.randint(
+                    0, len(policies.of(process_name).copies) - 1)
+                if copy_index == 0 and fixed:
+                    continue
+                current = mapping.node_of(process_name, copy_index)
+                options = [n for n in nodes if n != current]
                 if not options:
                     continue
+                # Applies by construction: the copy's node is no option.
                 move = RemapMove(process_name, copy_index,
                                  rng.choice(options))
-            if not move.applies_to(solution):
-                continue
             key = move.dedup_key()
             if key in seen:
                 continue
             seen.add(key)
+            if index is not None:
+                # An accepted move gets a policy object of its own from
+                # the space: estimator states pickle shared objects by
+                # reference, so sharing one across moves would change
+                # DiskCache entry bytes.
+                move = PolicyMove(process_name,
+                                  self._policy_space(process_name)[index])
             moves.append(move)
         return moves
 

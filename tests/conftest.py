@@ -17,7 +17,8 @@ from repro.model import (
     Process,
 )
 from repro.policies import PolicyAssignment, ProcessPolicy
-from repro.schedule import CopyMapping, EstimatorState
+from repro.schedule import CopyMapping, EstimatorState, synthesize_schedule
+from repro.workloads.presets import fig5_example
 
 
 @pytest.fixture
@@ -27,6 +28,18 @@ def two_nodes() -> Architecture:
         [Node("N1"), Node("N2")],
         BusSpec(slot_order=("N1", "N2"), slot_length=2.0),
     )
+
+
+@pytest.fixture(scope="module")
+def fig5_design():
+    """The paper's Fig. 5 design under re-execution: ``(app, arch,
+    mapping, policies, fault_model, schedule)``."""
+    app, arch, fault_model, transparency, mapping = fig5_example()
+    policies = PolicyAssignment.uniform(
+        app, ProcessPolicy.re_execution(fault_model.k))
+    schedule = synthesize_schedule(app, arch, mapping, policies,
+                                   fault_model, transparency)
+    return app, arch, mapping, policies, fault_model, schedule
 
 
 @pytest.fixture

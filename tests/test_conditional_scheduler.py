@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ContextExplosionError
@@ -14,10 +17,15 @@ from repro.model import (
     Message,
     Node,
     Process,
+    Transparency,
 )
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.schedule import CopyMapping, synthesize_schedule
+from repro.schedule.conditional import ConditionalScheduler
+from repro.schedule.serialization import schedule_to_dict
 from repro.schedule.table import BUS, EntryKind
+from repro.synthesis import initial_mapping
+from repro.workloads import GeneratorConfig, generate_workload
 
 
 def reexec(app, k):
@@ -232,3 +240,114 @@ class TestCompression:
                     and e.attempt.attempt == 1]
         assert len(p2_first) == 1
         assert p2_first[0].guard.is_unconditional
+
+
+def _grid_policy(kind: str, k: int, index: int) -> ProcessPolicy:
+    if kind == "reexec":
+        return ProcessPolicy.re_execution(k)
+    if kind == "ckpt":
+        return ProcessPolicy.checkpointing(k, 2)
+    if kind == "repl":
+        return ProcessPolicy.replication(k)
+    if kind == "hybrid":
+        return ProcessPolicy.replication_and_checkpointing(
+            k, 1, checkpoints=2)
+    # "mixed": re-execution, checkpointing and a hybrid, round robin
+    return (ProcessPolicy.re_execution(k),
+            ProcessPolicy.checkpointing(k, 2),
+            ProcessPolicy.replication_and_checkpointing(
+                k, 1, checkpoints=1))[index % 3]
+
+
+def _grid_transparency(mode: str, app: Application) -> Transparency:
+    if mode == "none":
+        return Transparency.none()
+    if mode == "full":
+        return Transparency.full(app)
+    if mode == "messages":
+        return Transparency.messages_only(app)
+    # "partial": every other process and every other message frozen
+    return Transparency(app.process_names[::2], app.message_names[::2])
+
+
+class TestTableBytePins:
+    """SHA-256 of ``schedule_to_dict`` (entries and leaves) over a grid.
+
+    ``tests/test_oracle.py`` checks what the tables mean; these pins
+    check their bytes, so a change to the scheduler's bookkeeping that
+    reorders, re-times or re-guards one entry fails here. Each case is
+    ``(processes, seed, k, policies, transparency, fixpoint passes,
+    raw digest, compressed digest)`` on a generated
+    2-node workload with the greedy initial mapping. The first four
+    rows are the ``dse-exact`` shape (3 processes, k=2).
+    """
+
+    CASES = [
+        (3, 1, 2, "reexec", "none", 1,
+         "279af9d3e5e466995defdf3e5a49832cb3ae6702f57e86f48971ec1a395a16a2",
+         "279af9d3e5e466995defdf3e5a49832cb3ae6702f57e86f48971ec1a395a16a2"),
+        (3, 1, 2, "ckpt", "full", 2,
+         "e791dd6df61d6503d4175f685defe07437206b98e5d0fce1d100e43ecd989aa0",
+         "bce6bd0a1223b583297d0e58e97e0c53d7f6025e4250ac107f4c57005e40d894"),
+        (3, 1, 2, "repl", "none", 1,
+         "993e12e956b2f510c9948ab4d30cdf8626ae7474581d20b347b7f30fd5ac7d13",
+         "993e12e956b2f510c9948ab4d30cdf8626ae7474581d20b347b7f30fd5ac7d13"),
+        (3, 1, 2, "hybrid", "partial", 2,
+         "6d5cd133233de8270aaf5e00cec0f263da477062966146cb7d98c055de718ac4",
+         "c10474428cd8c48e5ae3a5b3662776f9bc77c7266848f5b77540948e0c07544f"),
+        (3, 2, 2, "mixed", "full", 2,
+         "704f0686798e8d44b931744584d5490a5933c69474e6023fd06b6ed00a7d93bd",
+         "cdd9b471b1b7b021f269869737e947ffa7e24c957282a1bb0c0c8c2af22551ea"),
+        (3, 6, 2, "hybrid", "full", 3,
+         "9181a65407965506466416e99404e64c9f37d4e6c4b6c7f7a8c9416ddd90344c",
+         "e990bfa3ce43a71eee84e225e18229180c8e81d1b5569462068b914994f1a5ee"),
+        (3, 8, 2, "mixed", "partial", 9,
+         "c1ceee6e81253ba9e7c8d741d419ef751f0f26fc6e868bca8db1eb4d55fcb3e5",
+         "74d9c58eb701f8f4fd18f778eb16bbee74b524f4bb4cd22ced0b1d91a11c6fdc"),
+        (4, 3, 1, "reexec", "full", 2,
+         "277c63e9ea46b928e3db39c46d2f0cddc25a0723b159ee79c412aec88ca0cb80",
+         "0a15724adec4ffab00838ad960fd9ef7a72a6a6ee64d24aad50fb35fdd5c7785"),
+        (4, 7, 1, "ckpt", "messages", 2,
+         "56c53d133137967db077c2df82b869498e2454cb284c8d00d828185f83f2e2c8",
+         "7e26474469ec3884e3dcc8e6df7dde778974aec510051ed6026a1eca5581dd6d"),
+        (3, 4, 3, "mixed", "partial", 11,
+         "972a05fa3b06e9d7dbc93f51dcff1faff64871113b7623e14fbe376102e1698e",
+         "eac1254baebdb0557ec7b9cdba215df71b4749db55f4c620064247e4b0135e95"),
+        (4, 5, 3, "mixed", "messages", 1,
+         "27a46f0a322bb643f70ad888455402d97277fe10a12ee488f0049d15b10baca9",
+         "2ebd7f84b87011786cb90394a8798f6717d2492fb385ea7eda39bcc7ef24f5a6"),
+        (4, 3, 3, "ckpt", "partial", 2,
+         "fc761aabef15fd47d262384819762d718ee32b6cb727804229157a354ceb745c",
+         "79ba1d81a02a6a82d580b138f41a52b72621b372e4b4f9131ff83604822ebb89"),
+    ]
+
+    @staticmethod
+    def _digest(schedule) -> str:
+        text = json.dumps(schedule_to_dict(schedule), sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize(
+        "processes,seed,k,kind,mode,passes,raw,compressed", CASES,
+        ids=[f"{c[0]}p-s{c[1]}-k{c[2]}-{c[3]}-{c[4]}" for c in CASES])
+    def test_table_bytes(self, monkeypatch, processes, seed, k, kind,
+                         mode, passes, raw, compressed):
+        app, arch = generate_workload(GeneratorConfig(
+            processes=processes, nodes=2, seed=seed))
+        policies = PolicyAssignment({
+            name: _grid_policy(kind, k, index)
+            for index, name in enumerate(app.process_names)})
+        mapping = initial_mapping(app, arch, policies)
+        run_pass = ConditionalScheduler._run_pass
+        count = []
+
+        def counted(scheduler):
+            count.append(None)
+            run_pass(scheduler)
+
+        monkeypatch.setattr(ConditionalScheduler, "_run_pass", counted)
+        schedule = synthesize_schedule(
+            app, arch, mapping, policies, FaultModel(k=k),
+            _grid_transparency(mode, app), compress=False)
+        assert len(count) == passes
+        assert self._digest(schedule) == raw
+        assert self._digest(schedule.compressed()) == compressed

@@ -26,20 +26,7 @@ from repro.ftcpg.scenarios import (
     SlotFault,
     iter_fault_plans,
 )
-from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime.simulator import simulate
-from repro.schedule.conditional import synthesize_schedule
-from repro.workloads.presets import fig5_example
-
-
-@pytest.fixture(scope="module")
-def fig5_design():
-    app, arch, fault_model, transparency, mapping = fig5_example()
-    policies = PolicyAssignment.uniform(
-        app, ProcessPolicy.re_execution(fault_model.k))
-    schedule = synthesize_schedule(app, arch, mapping, policies,
-                                   fault_model, transparency)
-    return app, arch, mapping, policies, fault_model, schedule
 
 
 def _kinds(run, kind):
@@ -146,6 +133,37 @@ class TestDesFaultPlan:
         des = DesSimulator(*fig5_design)
         with pytest.raises(ValidationError):
             des.run(DesFaultPlan(base=FaultPlan({}), **axes()))
+
+    @pytest.mark.parametrize("plan", [
+        pytest.param(lambda: FaultPlan({("PX", 0): (1,)}),
+                     id="unknown-process"),
+        # Fig. 5's P1 has one copy and one segment.
+        pytest.param(lambda: FaultPlan({("P1", 5): (1,)}),
+                     id="unknown-copy"),
+        pytest.param(lambda: FaultPlan({("P1", 0): (0, 1)}),
+                     id="unknown-segment"),
+        pytest.param(lambda: DesFaultPlan(base=FaultPlan({}),
+                                          jitter={"PX": 0.0}),
+                     id="table-expressible-unknown-jitter"),
+    ])
+    def test_plan_naming_nothing_rejected(self, fig5_design, plan):
+        """Each of these plans used to replay fault-free, ok with
+        makespan 159.0, although the first three count one fault."""
+        des = DesSimulator(*fig5_design)
+        with pytest.raises(ValidationError):
+            des.run(plan())
+
+    @pytest.mark.parametrize("faults", [
+        pytest.param({("PX", 0): (1,)}, id="unknown-process"),
+        pytest.param({("P1", 5): (1,)}, id="unknown-copy"),
+        pytest.param({("P1", 0): (0, 1)}, id="unknown-segment"),
+    ])
+    def test_forward_base_plan_naming_nothing_rejected(self, fig5_design,
+                                                       faults):
+        engine = OnlineEngine(*fig5_design)
+        with pytest.raises(ValidationError):
+            engine.run(DesFaultPlan(base=FaultPlan(faults),
+                                    windows=(FaultWindow("N1", 4.0, 9.0),)))
 
     def test_budget_error_matches_replay_wording(self, fig5_design):
         app, arch, mapping, policies, fm, schedule = fig5_design

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.ftcpg import AttemptId, ConditionLiteral, Guard
@@ -33,6 +36,17 @@ guards = st.lists(literals, max_size=6).map(
     lambda ls: Guard(consistent_literals(ls)))
 
 
+@st.composite
+def guard_and_literal(draw) -> tuple[Guard, ConditionLiteral]:
+    """A guard and a literal that, half the time when the guard has
+    literals, repeats or contradicts one of them."""
+    guard = draw(guards)
+    if guard.literals and draw(st.booleans()):
+        existing = draw(st.sampled_from(guard.literals))
+        return guard, ConditionLiteral(existing.attempt, draw(st.booleans()))
+    return guard, draw(literals)
+
+
 class TestGuardProperties:
     @given(guards)
     def test_guard_implies_itself(self, guard):
@@ -50,6 +64,24 @@ class TestGuardProperties:
         extended = guard.extended(literal)
         assert extended.implies(guard)
         assert len(extended) >= len(guard)
+
+    @given(guard_and_literal())
+    def test_extended_matches_constructor(self, drawn):
+        guard, literal = drawn
+        try:
+            expected = Guard(guard.literals + (literal,))
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                guard.extended(literal)
+            assert str(raised.value) == str(error)
+            return
+        extended = guard.extended(literal)
+        assert extended.literals == expected.literals
+        assert str(extended) == str(expected)
+        assert hash(extended) == hash(expected)
+        for attempt in {lit.attempt for lit in expected.literals}:
+            assert extended.value_of(attempt) == expected.value_of(attempt)
+        assert pickle.dumps(extended) == pickle.dumps(expected)
 
     @given(guards, guards)
     def test_union_implies_both_when_compatible(self, a, b):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.ftcpg import FaultPlan
+from repro.kernels.batch import BatchedSimulator
 from repro.model import (
     Application,
     Architecture,
@@ -235,3 +237,28 @@ class TestFloatRobustness:
         result = simulate(app, arch, mapping, policies, fm, nudged,
                           FaultPlan({}))
         assert result.ok, result.errors
+
+
+NAMING_NOTHING = [
+    pytest.param({("PX", 0): (1,)}, id="unknown-process"),
+    # Fig. 5's P1 has one copy and one segment.
+    pytest.param({("P1", 5): (1,)}, id="unknown-copy"),
+    pytest.param({("P1", 0): (0, 1)}, id="unknown-segment"),
+]
+
+
+class TestPlansNamingNothing:
+    """A fault count on a process, copy or segment the design lacks
+    used to replay fault-free (ok, makespan 159.0 on Fig. 5) while the
+    plan still counted it as one fault."""
+
+    @pytest.mark.parametrize("faults", NAMING_NOTHING)
+    def test_simulate_rejects(self, fig5_design, faults):
+        with pytest.raises(ValidationError):
+            simulate(*fig5_design, FaultPlan(faults))
+
+    @pytest.mark.parametrize("faults", NAMING_NOTHING)
+    def test_batched_kernel_rejects(self, fig5_design, faults):
+        batched = BatchedSimulator(*fig5_design)
+        with pytest.raises(ValidationError):
+            batched.simulate_plan(FaultPlan(faults))

@@ -100,6 +100,37 @@ class TestNeighborhoodDeduplication:
         b = self._sample(neighborhood=8)
         assert a == b
 
+    def test_exhausted_neighborhood_draw_count(self):
+        """Three processes, k=2, the MXR policy space: only nine
+        distinct moves exist (one remap and two policy switches per
+        process), so a neighborhood of ten spends all ``limit * 8``
+        draws. The moves and the next value of the stream pin how many
+        random numbers that took."""
+        from repro.synthesis.tabu import TabuSearch, policy_candidates
+        from repro.utils.rng import DeterministicRng
+
+        app, arch = generate_workload(GeneratorConfig(
+            processes=3, nodes=2, seed=1))
+        policies = PolicyAssignment.uniform(
+            app, ProcessPolicy.re_execution(2))
+        mapping = initial_mapping(app, arch, policies)
+        search = TabuSearch(
+            app, arch, FaultModel(k=2),
+            policy_space=policy_candidates(app, 2),
+            settings=TabuSettings(neighborhood=10, seed=3))
+        rng = DeterministicRng(3)
+        moves = search._sample_moves((policies, mapping), rng)
+        hybrid = ((1, 0), (0, 0))
+        replicas = ((0, 0), (0, 0), (0, 0))
+        assert [move.dedup_key() for move in moves] == [
+            ("map", "P1", 0, "N1"), ("map", "P3", 0, "N2"),
+            ("map", "P2", 0, "N2"), ("pol", "P3", hybrid),
+            ("pol", "P2", hybrid), ("pol", "P3", replicas),
+            ("pol", "P1", hybrid), ("pol", "P2", replicas),
+            ("pol", "P1", replicas),
+        ]
+        assert rng.random() == 0.646913613301784
+
 
 class TestSeededDeterminism:
     def test_repeat_runs_identical(self):
