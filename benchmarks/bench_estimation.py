@@ -1,5 +1,10 @@
-"""Throughput of the slack-sharing estimator — the inner loop of every
-synthesis strategy, evaluated thousands of times per search (paper §6).
+"""Throughput of full slack-sharing estimates (paper §6).
+
+Each benchmark repeats a from-scratch estimate of one unchanged
+solution, i.e. one fresh ``_EstimationRun`` per call. This is not the
+tabu inner loop: there, repeated solutions hit the evaluator cache and
+one-move neighbours run the incremental ``reevaluate``
+(``bench_incremental_eval.py`` times that path).
 """
 
 from __future__ import annotations

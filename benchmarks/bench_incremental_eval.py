@@ -55,11 +55,12 @@ SETTINGS = TabuSettings(iterations=16, neighborhood=12,
 
 #: Acceptance floor for the incremental path on the quick profile.
 #: A ratio against a moving baseline: the denominator is a *full*
-#: kernel evaluation, so every full-path speedup (TDMA slot-search
-#: rewrite, kernel loop hoisting) compresses the ratio even while
-#: absolute incremental throughput rises. Re-pinned 1.5 -> 1.15 when
-#: the full path got ~25-40% faster; both absolute rates and the
-#: ratio improved against the previous pin's commit.
+#: evaluation, one fresh ``_EstimationRun`` (the scheduler the
+#: incremental suffix runs), so every full-path speedup (say, a TDMA
+#: slot-search rewrite) compresses the ratio even while absolute
+#: incremental throughput rises. Re-pinned 1.5 -> 1.15 when the full
+#: path got ~25-40% faster; both absolute rates and the ratio
+#: improved against the previous pin's commit.
 MIN_SPEEDUP = 1.15
 
 

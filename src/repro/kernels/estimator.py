@@ -1,396 +1,10 @@
-"""Index-based estimator kernel over compiled problem tables.
+"""The ``kernel_compute`` name that ``perfbench/spans.py`` patches.
 
-:func:`kernel_compute` is the fast path behind
-:meth:`repro.schedule.estimation.EstimatorState.compute`: the same
-slack-sharing list scheduler, operating on the integer tables of a
-:class:`~repro.kernels.tables.CompiledProblem` instead of per-run
-dictionaries rebuilt from the model objects. It performs the identical
-IEEE arithmetic in the identical order as
-:class:`~repro.schedule.estimation._EstimationRun` — same float adds,
-same pool folds over the same :class:`_CopyCost` objects, same
-transmission scheduling — so the resulting
-:class:`~repro.schedule.estimation.EstimatorState` (estimate, trace,
-cache-key inputs) is bit-identical to the oracle's by construction.
-
-Selection is order-isomorphic to the oracle's earliest-start-first
-scan: the ready pool is an insertion-ordered dict walked in the
-oracle's insertion order, with strict-``<`` candidate comparison on
-``(start, -priority, rank, copy, pid)``. Oracle candidates
-``(start, -priority, (name, copy))`` and kernel candidates order the
-same way because ``rank`` is the position of ``name`` in sorted name
-order, so the lexicographic comparison of ``(rank, copy, pid)``
-matches ``(name, copy)`` exactly (``pid`` never decides — equal rank
-implies equal pid). The pool value is the copy's fixed ready time
-plus its node id and tie-break constants, computed once at release;
-the ready time is constant from release onward because every producer
-arrival and same-node finish is recorded before the consumer's
-blockers reach zero, so each pop only folds in the current node-free
-time.
-
-The incremental path (:meth:`EstimatorState.reevaluate`) stays the
-oracle's pure-Python replay — its per-call cost is dominated by the
-adopted prefix, not the scheduling loop, so compiled tables buy it
-nothing; states produced here share the compiled problem's
-:class:`_AppStructure`, bus and send memo, so re-evaluation chains
-off kernel states run unchanged.
+Nothing in :mod:`repro` calls it: full estimates run
+:meth:`~repro.schedule.estimation.EstimatorState.compute`. The alias
+stays until the patch table drops it.
 """
 
-from __future__ import annotations
-
-from collections.abc import Mapping
-
-from repro.comm.reservations import BusReservations
-from repro.errors import SchedulingError
-from repro.kernels import counters
-from repro.kernels.tables import CompiledProblem, compile_problem
-from repro.model.application import Application
-from repro.model.architecture import Architecture
-from repro.model.fault_model import FaultModel
-from repro.policies.types import PolicyAssignment
 from repro.schedule.estimation import (
-    CopyTiming,
-    EstimatorState,
-    FtEstimate,
-    SendRecord,
-    _BudgetedSlackPool,
-    _CopyCost,
-    _MaxSlackPool,
-    _uncontended,
+    estimate_ft_schedule as kernel_compute,  # noqa: F401 (perfbench patch)
 )
-from repro.schedule.mapping import CopyMapping
-
-CopyKey = tuple[str, int]
-
-
-def kernel_compute(
-    app: Application,
-    arch: Architecture,
-    mapping: CopyMapping,
-    policies: PolicyAssignment,
-    fault_model: FaultModel,
-    *,
-    priorities: Mapping[str, float] | None,
-    bus_contention: bool,
-    slack_sharing: str,
-) -> EstimatorState:
-    """Full evaluation over compiled tables (bit-identical)."""
-    compiled = compile_problem(app, arch, fault_model.k, priorities)
-    counters.estimator_runs += 1
-    return _KernelRun(compiled, mapping, policies, bus_contention,
-                      slack_sharing).execute()
-
-
-class _KernelRun:
-    """One kernel execution of the slack-sharing list scheduler."""
-
-    __slots__ = (
-        "cp", "mapping", "policies", "bus_contention", "slack_sharing",
-        "reservations", "ncopies", "nid", "costs", "plans",
-        "node_free", "pools", "blockers", "remaining",
-        "ff", "wc", "arrival", "timings", "pops", "post_slack",
-        "sends", "first_pop", "completion", "ready_pool",
-        "max_wc", "max_ff",
-    )
-
-    def __init__(self, cp: CompiledProblem, mapping: CopyMapping,
-                 policies: PolicyAssignment, bus_contention: bool,
-                 slack_sharing: str) -> None:
-        self.cp = cp
-        self.mapping = mapping
-        self.policies = policies
-        self.bus_contention = bus_contention
-        self.slack_sharing = slack_sharing
-        self.reservations = (BusReservations() if bus_contention
-                             else None)
-
-        names = cp.names
-        nid_of = cp.nid_of
-        ncopies: list[int] = []
-        nid: list[list[int]] = []
-        costs: list[list[_CopyCost]] = []
-        plans: list[tuple] = []
-        for pid, name in enumerate(names):
-            copies = policies.of(name).copies
-            ncopies.append(len(copies))
-            row_nid: list[int] = []
-            row_cost: list[_CopyCost] = []
-            for copy_index, plan in enumerate(copies):
-                node_id = nid_of[mapping.node_of(name, copy_index)]
-                row_nid.append(node_id)
-                row_cost.append(cp.copy_cost(pid, node_id, plan))
-            nid.append(row_nid)
-            costs.append(row_cost)
-            plans.append(copies)
-        self.ncopies = ncopies
-        self.nid = nid
-        self.costs = costs
-        self.plans = plans
-
-        n_nodes = len(cp.node_names)
-        self.node_free = [0.0] * n_nodes
-        pool_type = (_MaxSlackPool if slack_sharing == "max"
-                     else _BudgetedSlackPool)
-        self.pools = [pool_type(cp.k) for _ in range(n_nodes)]
-        self.blockers = list(cp.base_blockers)
-        self.remaining = list(ncopies)
-        self.ff = [[0.0] * n for n in ncopies]
-        self.wc = [[0.0] * n for n in ncopies]
-        self.arrival: dict[tuple[int, int], float] = {}
-
-        self.timings: dict[CopyKey, CopyTiming] = {}
-        self.pops: list[CopyKey] = []
-        self.post_slack: list[float] = []
-        self.sends: dict[str, tuple[SendRecord, ...]] = {}
-        self.first_pop: dict[str, int] = {}
-        self.completion: dict[str, int] = {}
-
-        #: pool value: (fixed ready, node id, -priority, rank) — all
-        #: constant from release to pop, mirroring the oracle's pool.
-        self.ready_pool: dict[
-            tuple[int, int], tuple[float, int, float, int]] = {}
-
-        #: Running maxima folded in the main loop (max over floats is
-        #: value-exact, so these match a full post-hoc scan bit for
-        #: bit), mirroring the oracle.
-        self.max_wc = 0.0
-        self.max_ff = 0.0
-
-    # -- ready-set plumbing ---------------------------------------------------
-
-    def _release(self, pid: int) -> None:
-        cp = self.cp
-        pool = self.ready_pool
-        nid_row = self.nid[pid]
-        negpri = cp.negpri[pid]
-        rank = cp.rank[pid]
-        # The fixed-ready fold is inlined per copy: releases fire once
-        # per process but touch every (input x producer copy) pair for
-        # every copy, so the per-copy call and table lookups add up.
-        release_time = cp.release[pid]
-        inputs = cp.inputs[pid]
-        nid = self.nid
-        ncopies = self.ncopies
-        ff = self.ff
-        arrival = self.arrival
-        for copy_index in range(ncopies[pid]):
-            node_id = nid_row[copy_index]
-            ready = release_time
-            for msg_index, src_pid in inputs:
-                src_nid = nid[src_pid]
-                src_ff = ff[src_pid]
-                for src_copy in range(ncopies[src_pid]):
-                    if src_nid[src_copy] == node_id:
-                        value = src_ff[src_copy]
-                    else:
-                        value = arrival[(msg_index, src_copy)]
-                    if value > ready:
-                        ready = value
-            pool[(pid, copy_index)] = (ready, node_id, negpri, rank)
-
-    def _pop_next(self) -> tuple[int, int, float, int]:
-        """The next (pid, copy) to schedule, with start and node id.
-
-        Strict lexicographic minimum over ``(start, -priority, rank,
-        copy, pid)`` — spelled out field by field so the scan
-        allocates no candidate tuples (mirrors the oracle's scan;
-        ``pid`` never decides, equal rank implies equal pid).
-        """
-        if not self.ready_pool:
-            raise SchedulingError("estimation deadlock (cycle?)")
-        node_free = self.node_free
-        best_key = None
-        for pool_key, (ready, node_id, negpri, rank) \
-                in self.ready_pool.items():
-            start = node_free[node_id]
-            if ready > start:
-                start = ready
-            if best_key is None or start < best_start or (
-                    start == best_start
-                    and (negpri, rank, pool_key[1]) <
-                    (best_negpri, best_rank, best_key[1])):
-                best_key = pool_key
-                best_start = start
-                best_negpri = negpri
-                best_rank = rank
-                best_node = node_id
-        del self.ready_pool[best_key]
-        return best_key[0], best_key[1], best_start, best_node
-
-    # -- main loop ------------------------------------------------------------
-
-    def execute(self) -> EstimatorState:
-        cp = self.cp
-        for pid in range(len(cp.names)):
-            if self.blockers[pid] == 0:
-                self._release(pid)
-
-        names = cp.names
-        node_names = cp.node_names
-        ncopies = self.ncopies
-        node_free = self.node_free
-        pools = self.pools
-        costs = self.costs
-        timings = self.timings
-        pops = self.pops
-        post_slack = self.post_slack
-        ff_rows = self.ff
-        wc_rows = self.wc
-        first_pop = self.first_pop
-        completion = self.completion
-        remaining = self.remaining
-        blockers = self.blockers
-        successors = cp.successors
-        copy_key = cp.copy_key
-        pop_next = self._pop_next
-        transmit = self._transmit
-        release = self._release
-        max_wc = 0.0
-        max_ff = 0.0
-
-        scheduled = 0
-        total = sum(ncopies)
-        while scheduled < total:
-            # As in the oracle: the popped start IS the fold of
-            # release, inputs and node availability (max is
-            # value-exact, so the fold order is immaterial).
-            pid, copy_index, earliest, node_id = pop_next()
-            name = names[pid]
-            cost = costs[pid][copy_index]
-            position = scheduled
-            key = copy_key(pid, copy_index)
-            pops.append(key)
-            if name not in first_pop:
-                first_pop[name] = position
-
-            ff_finish = earliest + cost.duration
-            node_free[node_id] = ff_finish
-            shared_slack = pools[node_id].add(cost)
-            post_slack.append(shared_slack)
-            wc_finish = ff_finish + shared_slack
-            ff_rows[pid][copy_index] = ff_finish
-            wc_rows[pid][copy_index] = wc_finish
-            timings[key] = CopyTiming(
-                node_names[node_id], earliest, ff_finish, wc_finish)
-            if wc_finish > max_wc:
-                max_wc = wc_finish
-            if ff_finish > max_ff:
-                max_ff = ff_finish
-            scheduled += 1
-            remaining[pid] -= 1
-
-            if remaining[pid] == 0:
-                completion[name] = position
-                transmit(pid)
-                for succ_pid in successors[pid]:
-                    blockers[succ_pid] -= 1
-                    if blockers[succ_pid] == 0:
-                        release(succ_pid)
-
-        self.max_wc = max_wc
-        self.max_ff = max_ff
-        return self._finish()
-
-    def _transmit(self, pid: int) -> None:
-        """Schedule every cross-node output of a completed process."""
-        cp = self.cp
-        outputs = cp.outputs[pid]
-        if not outputs:
-            self.sends[cp.names[pid]] = ()
-            return
-        nid = self.nid
-        node_names = cp.node_names
-        wc_row = self.wc[pid]
-        src_nids = nid[pid]
-        n_src = self.ncopies[pid]
-        arrival = self.arrival
-        reservations = self.reservations
-        schedule_on_bus = cp.bus.schedule_transmission
-        send_memo = cp.send_memo
-        uncontended = self._uncontended_cached
-        records: list[SendRecord] = []
-        for msg_index, msg_name, dst_pid, size_bytes in outputs:
-            dst_nids = nid[dst_pid]
-            first = dst_nids[0]
-            common = first
-            for dst_nid in dst_nids:
-                if dst_nid != first:
-                    common = -1
-                    break
-            for src_copy in range(n_src):
-                src_nid = src_nids[src_copy]
-                if src_nid == common:
-                    # All consumer copies share the producer's node:
-                    # the message never touches the bus.
-                    continue
-                send_time = wc_row[src_copy]
-                src_name = node_names[src_nid]
-                if reservations is not None:
-                    transmission = schedule_on_bus(
-                        src_name, send_time, size_bytes, reservations)
-                else:
-                    transmission = send_memo.get(
-                        (src_name, send_time, size_bytes))
-                    if transmission is None:
-                        transmission = uncontended(
-                            src_name, send_time, size_bytes)
-                arrival[(msg_index, src_copy)] = transmission.arrival
-                records.append((msg_name, src_copy, transmission))
-        self.sends[cp.names[pid]] = tuple(records)
-
-    def _uncontended_cached(self, node: str, ready: float,
-                            size_bytes: int):
-        memo_key = (node, ready, size_bytes)
-        memo = self.cp.send_memo
-        transmission = memo.get(memo_key)
-        if transmission is None:
-            transmission = _uncontended(self.cp.bus, node, ready,
-                                        size_bytes)
-            if len(memo) >= 200_000:
-                memo.clear()
-            memo[memo_key] = transmission
-        return transmission
-
-    def _finish(self) -> EstimatorState:
-        cp = self.cp
-        timings = self.timings
-        violations = []
-        wc_rows = self.wc
-        pid_of = cp.pid_of
-        for name, deadline in cp.structure.deadlined:
-            bound = max(wc_rows[pid_of[name]])
-            if bound > deadline + 1e-9:
-                violations.append(name)
-        estimate = FtEstimate(
-            schedule_length=self.max_wc,
-            ff_length=self.max_ff,
-            timings=timings,
-            deadline=cp.app.deadline,
-            local_deadline_violations=tuple(violations),
-        )
-        copies = {}
-        keys_of = {}
-        keys_row = cp.keys_row
-        ncopies = self.ncopies
-        for pid, name in enumerate(cp.names):
-            cost_row = self.costs[pid]
-            keys = keys_row(pid, ncopies[pid])
-            keys_of[name] = keys
-            for copy_index, key in enumerate(keys):
-                copies[key] = cost_row[copy_index]
-        return EstimatorState(
-            app=cp.app, arch=cp.arch, mapping=self.mapping,
-            policies=self.policies, k=cp.k,
-            priorities=dict(cp.priorities),
-            bus_contention=self.bus_contention,
-            slack_sharing=self.slack_sharing,
-            estimate=estimate,
-            copies=copies, keys_of=keys_of,
-            pops=tuple(self.pops),
-            post_slack=tuple(self.post_slack),
-            sends=self.sends,
-            first_pop=self.first_pop,
-            completion=self.completion,
-            structure=cp.structure,
-            bus=cp.bus,
-            send_memo=cp.send_memo,
-        )

@@ -85,7 +85,6 @@ class Application:
         self._topo = tuple(
             topological_order(list(self._processes), successors)
         )
-        self._reach = transitive_successors(list(self._processes), successors)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -169,8 +168,16 @@ class Application:
         return tuple(seen)
 
     def descendants(self, process_name: str) -> frozenset[str]:
-        """All processes reachable from ``process_name``."""
-        return self._reach[process_name]
+        """All processes reachable from ``process_name``.
+
+        Computed per call rather than stored: a stored map of
+        frozensets would pickle in hash order, making pickled
+        applications (and the cache entries holding them) depend on
+        ``PYTHONHASHSEED``.
+        """
+        names = list(self._processes)
+        successors = {name: self.successors(name) for name in names}
+        return transitive_successors(names, successors)[process_name]
 
     @property
     def topological_order(self) -> tuple[str, ...]:

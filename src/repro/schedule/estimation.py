@@ -73,6 +73,10 @@ runs the identical algorithm from identical intermediate state, so
 the incremental estimate is bit-identical to a full
 :func:`estimate_ft_schedule` — the full recompute stays available as
 the oracle the tests and benchmarks compare against.
+
+Both paths run one implementation, :class:`_EstimationRun`: a full
+estimate (:meth:`EstimatorState.compute`) is a run from position
+zero, and an incremental one replays a parent prefix first.
 """
 
 from __future__ import annotations
@@ -91,6 +95,7 @@ from repro.model.fault_model import FaultModel
 from repro.policies.recovery import CopyExecution
 from repro.policies.types import PolicyAssignment
 from repro.schedule.mapping import CopyMapping
+from repro.schedule.priorities import partial_critical_path_priorities
 
 CopyKey = tuple[str, int]
 
@@ -375,18 +380,25 @@ class EstimatorState:
         bus_contention: bool = True,
         slack_sharing: str = "max",
     ) -> "EstimatorState":
-        """Full evaluation — the oracle the incremental path must match."""
+        """Full evaluation — the oracle the incremental path must match.
+
+        One :class:`_EstimationRun` from position zero, with
+        partial-critical-path priorities when none are given. The
+        mapping is checked the way the exact scheduler checks it, so
+        an illegal placement raises :class:`~repro.errors.MappingError`
+        instead of being estimated.
+        """
         if slack_sharing not in SLACK_SHARING_MODES:
             raise ValueError(
                 f"unknown slack_sharing {slack_sharing!r}, expected one "
                 f"of {SLACK_SHARING_MODES}")
-        # The array-compiled kernel: a fresh _EstimationRun's arithmetic
-        # in the identical order. Lazy: the kernels import this module.
-        from repro.kernels.estimator import kernel_compute
-        return kernel_compute(
-            app, arch, mapping, policies, fault_model,
-            priorities=priorities, bus_contention=bus_contention,
-            slack_sharing=slack_sharing)
+        mapping.validate(app, arch, policies)
+        if priorities is None:
+            priorities = partial_critical_path_priorities(app, arch)
+        run = _EstimationRun(app, arch, mapping, policies, fault_model.k,
+                             dict(priorities), bus_contention,
+                             slack_sharing)
+        return run.execute()
 
     # -- incremental path -----------------------------------------------------
 

@@ -8,7 +8,12 @@ unpicklable values) degrades to a recompute, never an error.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +159,59 @@ class TestEvaluatorWarmStart:
             == oracle.timings
         assert warm._disk.stats.errors >= 1
         assert warm._disk.stats.stored >= 1  # overwritten in place
+
+
+#: Synthesizes one small design through a disk-backed pool (estimate
+#: states) and builds its exact tables (schedule entries).
+_WRITE_ENTRIES_SCRIPT = textwrap.dedent("""
+    import sys
+
+    from repro.eval import EvaluatorPool
+    from repro.model import FaultModel
+    from repro.synthesis import TabuSettings, synthesize
+    from repro.workloads import GeneratorConfig, generate_workload
+
+    app, arch = generate_workload(GeneratorConfig(processes=8, nodes=2,
+                                                  seed=1))
+    fault_model = FaultModel(k=2)
+    pool = EvaluatorPool(cache_dir=sys.argv[1])
+    design = synthesize(app, arch, fault_model, "MXR",
+                        settings=TabuSettings(iterations=2,
+                                              neighborhood=4),
+                        cache=pool)
+    pool.evaluator_for(app, arch, fault_model).exact_schedule(
+        design.policies, design.mapping)
+""")
+
+
+class TestHashSeedIndependence:
+    def test_entries_identical_across_hash_seeds(self, tmp_path):
+        """Entry bytes depend on the inputs only, not on the
+        interpreter's string-hash seed (hash-ordered containers such
+        as frozensets pickle in that order)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        trees = []
+        for seed in ("0", "1"):
+            env = {key: value for key, value in os.environ.items()
+                   if not key.startswith("REPRO_")}
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (str(src), env.get("PYTHONPATH"))))
+            env["PYTHONHASHSEED"] = seed
+            root = tmp_path / f"seed{seed}"
+            done = subprocess.run(
+                [sys.executable, "-c", _WRITE_ENTRIES_SCRIPT,
+                 str(root)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            trees.append({path.relative_to(root): path.read_bytes()
+                          for path in root.rglob("*.pkl")})
+        first, second = trees
+        assert first and sorted(first) == sorted(second)
+        differing = [str(path) for path in sorted(first)
+                     if first[path] != second[path]]
+        assert not differing, (
+            f"{len(differing)} of {len(first)} entries differ: "
+            f"{differing[:3]}")
 
 
 class TestPoolWiring:

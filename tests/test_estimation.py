@@ -3,11 +3,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.errors import MappingError
 from repro.model import Application, FaultModel, Message, Process
 from repro.policies import PolicyAssignment, ProcessPolicy
-from repro.schedule import CopyMapping, estimate_ft_schedule
+from repro.schedule import (
+    CopyMapping,
+    estimate_ft_schedule,
+    synthesize_schedule,
+)
+from repro.synthesis import initial_mapping
+from repro.workloads import GeneratorConfig, generate_workload
 from tests.conftest import make_mapping
 
 
@@ -361,3 +370,147 @@ class TestBudgetedSlackSharing:
         assert budgeted.schedule_length >= base.schedule_length - 1e-9
         assert evaluator.estimate(policies, mapping,
                                   slack_sharing="budgeted") is budgeted
+
+
+class TestMappingValidation:
+    """The estimator rejects every mapping the exact scheduler rejects.
+
+    A is fixed on N1, B lists a WCET on N3 (which the architecture
+    lacks), and C runs on N1 only. Each case breaks the legal mapping
+    ``A->N1, B->N2, C->N1`` in one way; both entry points must raise
+    :class:`MappingError` instead of estimating the illegal design.
+    """
+
+    LEGAL = {("A", 0): "N1", ("B", 0): "N2", ("C", 0): "N1"}
+    CASES = {
+        "fixed-node-moved": ({("A", 0): "N2"}, ()),
+        "stale-entry": ({("X", 0): "N1"}, ()),
+        "unknown-node": ({("B", 0): "N3"}, ()),
+        "node-without-wcet": ({("C", 0): "N2"}, ()),
+        "unmapped-copy": ({}, (("C", 0),)),
+    }
+
+    @staticmethod
+    def _app() -> Application:
+        return Application(
+            [Process("A", {"N1": 30.0, "N2": 40.0}, fixed_node="N1"),
+             Process("B", {"N1": 20.0, "N2": 25.0, "N3": 22.0}),
+             Process("C", {"N1": 15.0})],
+            [Message("ab", "A", "B", size_bytes=4),
+             Message("ac", "A", "C", size_bytes=4)],
+            deadline=1000.0)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_illegal_mapping_rejected_like_exact_scheduler(
+            self, two_nodes, case):
+        app = self._app()
+        policies = reexec(app, 1)
+        fm = FaultModel(k=1)
+        # The unbroken mapping is legal, so each case fails for its
+        # own reason.
+        estimate_ft_schedule(app, two_nodes, CopyMapping(self.LEGAL),
+                             policies, fm)
+        moved, dropped = self.CASES[case]
+        assignments = {**self.LEGAL, **moved}
+        for key in dropped:
+            del assignments[key]
+        mapping = CopyMapping(assignments)
+        with pytest.raises(MappingError):
+            synthesize_schedule(app, two_nodes, mapping, policies, fm)
+        with pytest.raises(MappingError):
+            estimate_ft_schedule(app, two_nodes, mapping, policies, fm)
+
+
+def _pin_policy(kind: str, k: int, index: int) -> ProcessPolicy:
+    if kind == "reexec":
+        return ProcessPolicy.re_execution(k)
+    if kind == "ckpt":
+        return ProcessPolicy.checkpointing(k, 2)
+    if kind == "repl":
+        return ProcessPolicy.replication(k)
+    if kind == "hybrid-reexec":
+        return ProcessPolicy.replication_and_checkpointing(k, 1)
+    if kind == "hybrid-ckpt":
+        return ProcessPolicy.replication_and_checkpointing(
+            k, 1, checkpoints=2)
+    # "mixed": every policy shape, round robin
+    return (ProcessPolicy.re_execution(k),
+            ProcessPolicy.checkpointing(k, 1),
+            ProcessPolicy.replication(k),
+            ProcessPolicy.replication_and_checkpointing(
+                k, 1, checkpoints=1))[index % 4]
+
+
+class TestEstimateBytePins:
+    """SHA-256 over every :class:`FtEstimate` field, over a grid.
+
+    The grid tests compare the estimator with the exact scheduler and
+    the simulator, and ``reevaluate`` with a full compute; these pins
+    check the estimate's bits, so a change to the scheduling loop, the
+    slack pools or the bus arithmetic that moves one float fails here.
+    Floats enter as ``float.hex``, timings in the dict's key order
+    (the pop order the incremental replay relies on). Each case is
+    ``(processes, nodes, seed, k, policies, slack sharing, bus
+    contention, digest)`` on a generated workload with the greedy
+    initial mapping. The first rows are the ``synth-search`` (20
+    processes, 4 nodes, k=2), ``dse-exact`` (3/2, k=2) and
+    ``campaign-des`` (8/2, k=3) shapes.
+    """
+
+    CASES = [
+        (20, 4, 1, 2, "reexec", "max", True,
+         "cb6a9efa3947939f5925e86bbc55144de5332dd36f807fd703ed8fc515ed4238"),
+        (20, 4, 2, 2, "mixed", "budgeted", False,
+         "79dce8e54560cf719c1b01acd6bf346d25987b15a578c5176af50e480ebe159e"),
+        (3, 2, 1, 2, "ckpt", "max", False,
+         "ad0e6e9a61a5462e90f3ccf70a9783ce83a6d0415b9a38cc3dc0e79263911bef"),
+        (3, 2, 2, 2, "repl", "budgeted", True,
+         "604561ecf28086769f487727f43a3f651458eab9cfaeb9d3ffde67efad80cd35"),
+        (8, 2, 1, 3, "mixed", "max", False,
+         "09c725296232d7077c65cdad81eca3bee55e37f0081978f5da97dfe896b434e6"),
+        (8, 2, 3, 3, "hybrid-ckpt", "budgeted", True,
+         "23a0373ff1f1046581e1691d4336720f2e14cb7f1e4fce675177218e331f1c86"),
+        (5, 2, 4, 1, "reexec", "budgeted", False,
+         "ddb4f09a9862b7ebbfe728d0912ae5233e978e22cd062ca4c8a01d049fa79db7"),
+        (5, 3, 5, 1, "ckpt", "max", True,
+         "96c336c2aea3c4219c982d4e424830a440328f8c91dcdb8d82a73babb6e87a92"),
+        (6, 2, 6, 2, "hybrid-reexec", "max", True,
+         "58799f28ab8d5c6a61d4526f565a1a99192d101bc7a90c461ecdec0ef71d870b"),
+        (6, 3, 7, 3, "repl", "max", False,
+         "993ba3a7b5a405d5095338b5febbc94dd42c2ae4fa7edfe51245347ea56dd477"),
+        (8, 2, 8, 3, "hybrid-reexec", "budgeted", False,
+         "2a85b817fc67640f95f40fe3fd7cecccd87be0552aafb9e21c90b20f9a477cec"),
+        (12, 3, 9, 2, "hybrid-ckpt", "max", True,
+         "78f19b2a4ec5a0d950355042a1a3c37ea1b1cb28195ddea40324205dff275a80"),
+    ]
+
+    @staticmethod
+    def _digest(estimate) -> str:
+        lines = [estimate.schedule_length.hex(),
+                 estimate.ff_length.hex(),
+                 float(estimate.deadline).hex(),
+                 ",".join(estimate.local_deadline_violations)]
+        for (name, copy), timing in estimate.timings.items():
+            lines.append(f"{name}/{copy} {timing.node} "
+                         f"{timing.start.hex()} "
+                         f"{timing.ff_finish.hex()} "
+                         f"{timing.wc_finish.hex()}")
+        text = "\n".join(lines)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize(
+        "processes,nodes,seed,k,kind,mode,contention,digest", CASES,
+        ids=[f"{c[0]}p{c[1]}n-s{c[2]}-k{c[3]}-{c[4]}-{c[5]}-"
+             f"{'bus' if c[6] else 'nobus'}" for c in CASES])
+    def test_estimate_bytes(self, processes, nodes, seed, k, kind,
+                            mode, contention, digest):
+        app, arch = generate_workload(GeneratorConfig(
+            processes=processes, nodes=nodes, seed=seed))
+        policies = PolicyAssignment({
+            name: _pin_policy(kind, k, index)
+            for index, name in enumerate(app.process_names)})
+        mapping = initial_mapping(app, arch, policies)
+        estimate = estimate_ft_schedule(
+            app, arch, mapping, policies, FaultModel(k=k),
+            bus_contention=contention, slack_sharing=mode)
+        assert self._digest(estimate) == digest

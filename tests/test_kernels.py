@@ -1,10 +1,9 @@
-"""Array-kernel seams: batched fallback, standard-library footprint.
+"""Batched-kernel seams: fallback, standard-library footprint.
 
-The heavy bit-identity legs live in ``tests/test_oracle.py`` (the
-grid asserts full estimate and simulation equality of the kernels
-against the pure-Python oracles on every design; the move-walk
-property closes the compute-kernel == compute-oracle == ``reevaluate``
-triangle). This file pins everything *around* those legs:
+The heavy bit-identity leg lives in ``tests/test_oracle.py`` (the
+grid asserts full simulation equality of the batched scenario kernel
+against ``simulate()`` on every swept scenario of every design). This
+file pins everything *around* that leg:
 
 * the batched kernel's oracle fallback (counted, bit-identical) and
   its fault-signature index (zero-count plan keys patch nothing);

@@ -30,18 +30,15 @@ checkpointed DSE candidates, where raw tables may fail the
 decidability check by design (a pinned frozen start keeps its context
 guard until compression collapses it).
 
-A fourth leg holds the **array-compiled kernels**
-(:mod:`repro.kernels`) against the pure-Python oracles, called
-directly. Every design the grid visits asserts full
-:class:`~repro.schedule.estimation.FtEstimate` equality of the
-estimator kernel and the ``_EstimationRun`` oracle (both
-slack-sharing modes, through :func:`oracles.oracle_compute`) and full
-``SimulationResult`` equality of every swept scenario (the batched
-scenario kernel behind :class:`~repro.verify.core.ScenarioSweep`)
-against a one-shot ``simulate()``; a hypothesis property walks random
-``RemapMove``/``PolicyMove`` sequences and closes the three-way
-identity compute-kernel == compute-oracle == incremental
-``reevaluate`` at every step.
+A fourth leg holds the **batched scenario kernel**
+(:mod:`repro.kernels.batch`, behind
+:class:`~repro.verify.core.ScenarioSweep`) against the pure-Python
+table replay: every design the grid visits asserts full
+``SimulationResult`` equality of every swept scenario against a
+one-shot ``simulate()``. The estimator has a single implementation;
+``tests/test_incremental_eval.py`` holds its incremental
+``reevaluate`` against a full compute, and
+``tests/test_estimation.py::TestEstimateBytePins`` pins its bits.
 
 Two generators feed the triangle: a deterministic grid of >= 200
 synthesized designs (seeds x strategies x fault budgets), and
@@ -59,18 +56,14 @@ from repro.dse.explorer import DEFAULT_SETTINGS, apply_checkpoint_counts
 from repro.dse.space import SpaceConfig, enumerate_candidates
 from repro.eval.core import EvaluatorPool
 from repro.model import FaultModel
-from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime.simulator import simulate
 from repro.schedule.conditional import synthesize_schedule
-from repro.schedule.estimation import EstimatorState, estimate_ft_schedule
-from repro.synthesis import initial_mapping, synthesize
-from repro.synthesis.moves import PolicyMove, RemapMove
+from repro.schedule.estimation import estimate_ft_schedule
+from repro.synthesis import synthesize
 from repro.synthesis.tabu import TabuSettings
 from repro.verify.core import ScenarioSweep
 from repro.verify.stats import VerificationStats
 from repro.workloads.generator import GeneratorConfig, generate_workload
-
-from oracles import oracle_compute
 
 #: Tiny search budget: the oracle checks the *evaluation seam*, not
 #: the search quality, so the cheapest design that exercises the
@@ -158,13 +151,6 @@ def _check_triangle(app, arch, strategy: str, k: int) -> None:
         estimate = estimate_ft_schedule(
             app, arch, design.mapping, design.policies, fault_model,
             slack_sharing=mode)
-        # Kernel vs estimator oracle: full FtEstimate equality —
-        # every timing, bit for bit.
-        oracle_estimate = oracle_compute(
-            app, arch, design.mapping, design.policies, fault_model,
-            slack_sharing=mode).estimate
-        assert estimate == oracle_estimate, (
-            f"{label}: estimator kernel diverged in {mode} mode")
         # The bare estimate + broadcast allowance is the certified
         # bound for *every* policy mix: the estimator serializes
         # co-located copies earliest-start-first like the exact
@@ -251,92 +237,3 @@ class TestCompressionMeaning:
                 assert result.ok, f"{label}: {result.errors}"
                 if raw.ok:
                     assert _meaning(result) == _meaning(raw), label
-
-
-def _policy_options(k: int) -> tuple[ProcessPolicy, ...]:
-    """Every policy shape valid at fault budget ``k``."""
-    options = [ProcessPolicy.re_execution(k),
-               ProcessPolicy.replication(k),
-               ProcessPolicy.checkpointing(k, 1),
-               ProcessPolicy.checkpointing(k, 2)]
-    if k >= 2:
-        options.append(
-            ProcessPolicy.replication_and_checkpointing(k, 1))
-    return tuple(options)
-
-
-def _assert_state_identity(app, arch, mapping, policies, fault_model,
-                           mode: str) -> EstimatorState:
-    """Kernel compute == oracle compute; return the kernel state."""
-    state = EstimatorState.compute(
-        app, arch, mapping, policies, fault_model,
-        bus_contention=True, slack_sharing=mode)
-    oracle = oracle_compute(
-        app, arch, mapping, policies, fault_model,
-        bus_contention=True, slack_sharing=mode)
-    assert state.estimate == oracle.estimate, (
-        f"estimator kernel diverged ({mode} mode)")
-    return state
-
-
-class TestKernelsMoveWalkProperty:
-    """Random ``RemapMove``/``PolicyMove`` walks, kernel vs oracle.
-
-    Each accepted move closes a three-way identity: the array kernel's
-    ``EstimatorState.compute`` equals the pure-Python compute
-    (:func:`oracles.oracle_compute`) equals the incremental
-    ``reevaluate`` from the pre-move state — full ``FtEstimate``
-    equality, in both slack-sharing modes.
-    """
-
-    RELAXED = settings(max_examples=10, deadline=None,
-                       suppress_health_check=[HealthCheck.too_slow])
-
-    @RELAXED
-    @given(data=st.data(),
-           mode=st.sampled_from(("max", "budgeted")))
-    def test_walk_identity(self, data, mode):
-        processes = data.draw(st.integers(4, 7), label="processes")
-        nodes = data.draw(st.integers(2, 3), label="nodes")
-        seed = data.draw(st.integers(0, 10_000), label="seed")
-        k = data.draw(st.integers(1, 2), label="k")
-        app, arch = generate_workload(GeneratorConfig(
-            processes=processes, nodes=nodes, seed=seed,
-            layer_width=3))
-        fault_model = FaultModel(k=k)
-        policies = PolicyAssignment.uniform(
-            app, ProcessPolicy.re_execution(k))
-        mapping = initial_mapping(app, arch, policies)
-        state = _assert_state_identity(app, arch, mapping, policies,
-                                       fault_model, mode)
-
-        names = sorted(app.process_names)
-        for __ in range(data.draw(st.integers(1, 4), label="steps")):
-            process = data.draw(st.sampled_from(names),
-                                label="process")
-            if data.draw(st.booleans(), label="remap"):
-                copies = len(policies.of(process).copies)
-                copy = data.draw(st.integers(0, copies - 1),
-                                 label="copy")
-                node = data.draw(
-                    st.sampled_from(
-                        sorted(app.process(process).allowed_nodes)),
-                    label="node")
-                move = RemapMove(process, copy, node)
-            else:
-                move = PolicyMove(process, data.draw(
-                    st.sampled_from(_policy_options(k)),
-                    label="policy"))
-            if not move.applies_to((policies, mapping)):
-                continue
-            policies, mapping = move.apply((policies, mapping), app)
-            fresh = _assert_state_identity(app, arch, mapping,
-                                           policies, fault_model,
-                                           mode)
-            # Third corner: the incremental path from the pre-move
-            # state lands on the same estimate, bit for bit.
-            delta = state.reevaluate(policies, mapping, process)
-            assert delta.estimate == fresh.estimate, (
-                f"reevaluate diverged from kernel compute after "
-                f"{move!r} ({mode} mode)")
-            state = fresh
