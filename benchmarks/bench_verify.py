@@ -24,11 +24,9 @@ from __future__ import annotations
 import os
 import time
 
-from repro.campaigns.runner import synthesize_campaign_design
+from repro.campaigns.runner import build_design
 from repro.engine import EngineConfig
-from repro.eval.core import EvaluatorPool
 from repro.ftcpg import iter_fault_plans
-from repro.model import FaultModel
 from repro.runtime import simulate
 from repro.synthesis.tabu import TabuSettings
 from repro.verify import (
@@ -36,6 +34,7 @@ from repro.verify import (
     VerifyConfig,
     load_verify_workload,
     run_verification,
+    verify_jobs,
 )
 
 QUICK = os.environ.get("REPRO_BENCH_PROFILE", "quick") != "full"
@@ -58,19 +57,12 @@ def _oracle_baseline(config: VerifyConfig) -> VerificationStats:
     ``run_verify_chunk`` does, then replay every scenario through
     ``simulate()``."""
     app, arch, transparency = load_verify_workload(config.workload)
-    fault_model = FaultModel(k=config.k)
-    pool = EvaluatorPool()
-    result = synthesize_campaign_design(
-        app, arch, config.k, config.strategy, config.settings,
-        config.seed, pool=pool)
-    schedule = pool.evaluator_for(app, arch, fault_model).exact_schedule(
-        result.policies, result.mapping, transparency,
-        max_contexts=config.max_contexts)
+    design = build_design(app, arch, verify_jobs(config)[0].params_dict(),
+                          transparency=transparency)
     stats = VerificationStats()
-    for plan in iter_fault_plans(app, result.policies, config.k):
-        stats.observe(simulate(app, arch, result.mapping,
-                               result.policies, fault_model, schedule,
-                               plan), transparency)
+    for plan in iter_fault_plans(app, design.result.policies, config.k):
+        stats.observe(simulate(*design.executor_args, plan),
+                      transparency)
     return stats
 
 

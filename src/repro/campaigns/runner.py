@@ -26,6 +26,11 @@ campaign reports byte-identical. A certified campaign is still one
 engine run: each chunk also sweeps one contiguous window of every
 fault scenario of the design it built, and the parent folds those
 certificates the way :mod:`repro.verify` folds its chunks.
+
+Campaign and verify chunks both derive a :class:`Design` with
+:func:`build_design`, and both merged reports extend
+:class:`DesignReport`, so a certificate judges the very design the
+sampled plans stressed.
 """
 
 from __future__ import annotations
@@ -55,11 +60,14 @@ from repro.engine.runner import (
     ProgressCallback,
 )
 from repro.des.core import DesSimulator
+from repro.errors import ToleranceViolationError
 from repro.eval.core import EvaluatorPool
+from repro.ftcpg.scenarios import DesFaultPlan, FaultPlan, count_fault_plans
 from repro.kernels.batch import BatchedSimulator
 from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
+from repro.model.transparency import Transparency
 from repro.runtime.faults import extend_fault_plans
 from repro.runtime.simulator import simulate  # noqa: F401 (perfbench patch)
 from repro.schedule.estimation import FtEstimate
@@ -217,13 +225,11 @@ def synthesize_campaign_design(app, arch, k: int, strategy: str,
                                pool: EvaluatorPool):
     """The design a campaign (or verification) seed produces.
 
-    One shared derivation — tabu seed via
-    ``derive_seed(seed, "campaign-tabu", settings.seed)`` — used by
-    campaign chunks *and* the verification chunks of
-    :mod:`repro.verify.runner`, so a certified campaign provably
-    verifies the very design its sampled plans stressed: equal
-    ``(workload, k, strategy, settings, seed)`` yields the identical
-    synthesis on both sides.
+    The tabu step of :func:`build_design` — tabu seed via
+    ``derive_seed(seed, "campaign-tabu", settings.seed)`` — so a
+    certified campaign provably verifies the very design its sampled
+    plans stressed: equal ``(workload, k, strategy, settings, seed)``
+    yields the identical synthesis on both sides.
     """
     fault_model = FaultModel(k=k)
     settings = replace(settings, seed=derive_seed(
@@ -263,13 +269,22 @@ def campaign_jobs(config: CampaignConfig) -> list[BatchJob]:
     )
 
 
-@dataclass
-class CampaignDesign:
-    """One fully evaluated campaign design context.
+#: The design scalars every chunk payload carries
+#: (:meth:`Design.header`); all chunks of one run derive them from one
+#: config, so a mismatch means a chunk runner broke purity.
+HEADER_KEYS = ("estimate", "certified_estimate", "estimate_bound",
+               "exact_worst_case", "fault_free_length", "nft_length",
+               "deadline", "processes", "nodes")
 
-    Everything :func:`run_campaign_chunk` derives from the seed before
-    it starts simulating: the instance, the synthesized design, the
-    exact tables and the certified estimate bound.
+
+@dataclass(frozen=True)
+class Design:
+    """One fully evaluated design: what a sweep chunk derives.
+
+    Everything campaign and verify chunks derive from the seed before
+    they start simulating: the instance, the synthesized design, the
+    exact tables (built against ``transparency``, the workload's
+    contract, None for campaigns) and the certified estimate bound.
     """
 
     app: Application
@@ -280,12 +295,70 @@ class CampaignDesign:
     certified: FtEstimate
     bound: float
     pool: EvaluatorPool
+    transparency: Transparency | None = None
+
+    @property
+    def executor_args(self) -> tuple:
+        """The ``(app, arch, mapping, policies, fault_model, schedule)``
+        every executor takes."""
+        return (self.app, self.arch, self.result.mapping,
+                self.result.policies, self.fault_model, self.schedule)
+
+    def header(self) -> dict:
+        """The :data:`HEADER_KEYS` scalars of every chunk payload."""
+        estimate = self.result.estimate
+        return {
+            "estimate": estimate.schedule_length,
+            "certified_estimate": self.certified.schedule_length,
+            "estimate_bound": self.bound,
+            "exact_worst_case": self.schedule.worst_case_length,
+            "fault_free_length": estimate.ff_length,
+            "nft_length": self.result.nft_length,
+            "deadline": self.app.deadline,
+            "processes": len(self.app.process_names),
+            "nodes": len(self.arch.node_names),
+        }
+
+    def extend_plans(self, plans: Sequence[FaultPlan], *,
+                     intermittent: int, slot_faults: int, jitter: float,
+                     seed: int) -> list[FaultPlan | DesFaultPlan]:
+        """:func:`~repro.runtime.faults.extend_fault_plans` over this
+        design's nodes, processes, table horizon and bus."""
+        return extend_fault_plans(
+            plans, node_names=self.arch.node_names,
+            process_names=self.app.process_names,
+            horizon=self.schedule.worst_case_length,
+            round_length=self.arch.bus.round_length,
+            slots_per_round=len(self.arch.bus.slot_order),
+            intermittent=intermittent, slot_faults=slot_faults,
+            jitter=jitter, seed=seed)
 
 
-def build_campaign_design(params: Mapping[str, object],
-                          ) -> CampaignDesign:
-    """Derive the chunk's design context from its params (pure)."""
-    app, arch = load_campaign_workload(params["workload"])
+def scenario_limit_error(total: int, max_scenarios: int, *, flag: str,
+                         ) -> ToleranceViolationError | None:
+    """The refusal of ``total`` fault scenarios beyond
+    ``max_scenarios``, naming ``flag``, the refusing command's option
+    that raises the limit; None within the limit."""
+    if total <= max_scenarios:
+        return None
+    return ToleranceViolationError(
+        f"{total} fault scenarios exceed the verification limit "
+        f"{max_scenarios}; raise {flag} or verify a smaller instance")
+
+
+def build_design(app: Application, arch: Architecture,
+                 params: Mapping[str, object], *,
+                 transparency: Transparency | None = None,
+                 max_scenarios: int | None = None) -> Design:
+    """Derive a chunk's design from its params (pure).
+
+    The one derivation of campaign and verify chunks: tabu search
+    (:func:`synthesize_campaign_design`), the exact tables and the
+    certified estimate bound. With ``max_scenarios`` (verify chunks),
+    instances beyond that many fault scenarios are refused with
+    :class:`~repro.errors.ToleranceViolationError` before any table
+    is built.
+    """
     k = int(params["k"])
     fault_model = FaultModel(k=k)
     pool = EvaluatorPool()
@@ -293,9 +366,19 @@ def build_campaign_design(params: Mapping[str, object],
         app, arch, k, str(params["strategy"]),
         TabuSettings(**params["settings"]), int(params["seed"]),
         pool=pool)
+    if max_scenarios is not None:
+        # Refuse intractable instances *before* paying for the exact
+        # conditional tables (the expensive, explosion-prone step):
+        # the scenario count needs nothing but the synthesized
+        # policies.
+        error = scenario_limit_error(
+            count_fault_plans(app, result.policies, k), max_scenarios,
+            flag="--max-scenarios")
+        if error is not None:
+            raise error
     evaluator = pool.evaluator_for(app, arch, fault_model)
     schedule = evaluator.exact_schedule(
-        result.policies, result.mapping,
+        result.policies, result.mapping, transparency,
         max_contexts=int(params["max_contexts"]))
     # The soundness seam: simulations are held against the *budgeted*
     # slack-sharing estimate (sound for the replication hybrids the
@@ -309,9 +392,9 @@ def build_campaign_design(params: Mapping[str, object],
     certified = evaluator.estimate(
         result.policies, result.mapping, slack_sharing="budgeted")
     bound = estimate_bound(app, arch, certified, k)
-    return CampaignDesign(app=app, arch=arch, fault_model=fault_model,
-                          result=result, schedule=schedule,
-                          certified=certified, bound=bound, pool=pool)
+    return Design(app=app, arch=arch, fault_model=fault_model,
+                  result=result, schedule=schedule, certified=certified,
+                  bound=bound, pool=pool, transparency=transparency)
 
 
 def run_campaign_chunk(params: Mapping[str, object]) -> dict:
@@ -330,14 +413,12 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
     the limit. The cache counters are read before, so certifying does
     not move them.
     """
-    design = build_campaign_design(params)
-    app, arch = design.app, design.arch
-    fault_model = design.fault_model
-    result, schedule = design.result, design.schedule
-    k = fault_model.k
+    design = build_design(*load_campaign_workload(params["workload"]),
+                          params)
+    app, result = design.app, design.result
 
     plans = sample_campaign_plans(
-        app, result.policies, k,
+        app, result.policies, design.fault_model.k,
         sampler=str(params["sampler"]),
         samples=int(params["samples"]),
         seed=derive_seed(int(params["seed"]), "campaign-plans"))
@@ -348,31 +429,22 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
     intermittent = int(params.get("intermittent", 0))
     slot_faults = int(params.get("slot_faults", 0))
     jitter = float(params.get("jitter", 0.0))
-    plans = extend_fault_plans(
-        plans,
-        node_names=arch.node_names,
-        process_names=app.process_names,
-        horizon=schedule.worst_case_length,
-        round_length=arch.bus.round_length,
-        slots_per_round=len(arch.bus.slot_order),
-        intermittent=intermittent,
-        slot_faults=slot_faults,
+    plans = design.extend_plans(
+        plans, intermittent=intermittent, slot_faults=slot_faults,
         jitter=jitter,
         seed=derive_seed(int(params["seed"]), "campaign-des"))
     slice_plans = chunk_slice(plans, int(params["chunk"]),
                               int(params["chunks"]))
 
-    simulator_args = (app, arch, result.mapping, result.policies,
-                      fault_model, schedule)
     if intermittent > 0 or slot_faults > 0 or jitter > 0:
         # The DES executes every plan: table-expressible ones through
         # the replay oracle, extended ones forward.
-        run_plan = DesSimulator(*simulator_args).simulate
+        run_plan = DesSimulator(*design.executor_args).simulate
     else:
         # Table-expressible plans only: the batched kernel replays
         # them bit-identically to simulate(), falling back to the
         # oracle per plan for anything it cannot prove.
-        run_plan = BatchedSimulator(*simulator_args).simulate_plan
+        run_plan = BatchedSimulator(*design.executor_args).simulate_plan
     stats = CampaignStats()
     for plan in slice_plans:
         outcome = run_plan(plan)
@@ -388,45 +460,30 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
         "cache_hits": cache_stats.estimates.hits,
         "cache_misses": cache_stats.estimates.misses,
         "cache_entries": cache_stats.estimates.entries,
-        "estimate": result.estimate.schedule_length,
-        "certified_estimate": design.certified.schedule_length,
-        "estimate_bound": design.bound,
-        "exact_worst_case": schedule.worst_case_length,
-        "fault_free_length": result.estimate.ff_length,
-        "nft_length": result.nft_length,
-        "deadline": app.deadline,
-        "processes": len(app.process_names),
-        "nodes": len(arch.node_names),
+        **design.header(),
     }
     max_scenarios = params.get("certify_max_scenarios")
     if max_scenarios is not None:
         # Imported lazily: repro.verify.runner imports this module
         # for the shared design derivation.
         from repro.verify.core import ScenarioSweep
-        from repro.verify.runner import scenario_limit_error, sweep_window
-        sweep = ScenarioSweep(*simulator_args)
-        error = scenario_limit_error(sweep.total, int(max_scenarios))
+        from repro.verify.runner import sweep_window
+        sweep = ScenarioSweep(*design.executor_args)
+        error = scenario_limit_error(sweep.total, int(max_scenarios),
+                                     flag="--certify-max-scenarios")
         payload["certificate"] = (
             {"skipped": str(error)} if error is not None
-            else sweep_window(sweep, None, int(params["chunk"]),
-                              int(params["chunks"])))
+            else sweep_window(sweep, design.transparency,
+                              int(params["chunk"]), int(params["chunks"])))
     return payload
 
 
-#: Scalars every chunk of one campaign must agree on (they all derive
-#: from the same seed); a mismatch means a runner broke purity.
-_CONSISTENT_KEYS = ("plans_total", "estimate", "certified_estimate",
-                    "estimate_bound",
-                    "exact_worst_case", "fault_free_length",
-                    "nft_length", "deadline", "processes", "nodes")
+@dataclass(kw_only=True)
+class DesignReport:
+    """What the merged campaign and verify reports share: the design
+    header of their chunks (:meth:`Design.header`), the summed cache
+    counters and the engine's chunk counts."""
 
-
-@dataclass
-class CampaignReport:
-    """Merged outcome of one campaign (all chunks)."""
-
-    config: CampaignConfig
-    stats: CampaignStats
     estimate: float
     certified_estimate: float
     estimate_bound: float
@@ -436,11 +493,76 @@ class CampaignReport:
     deadline: float
     processes: int
     nodes: int
-    plans_total: int
     cache_hits: int = 0
     cache_misses: int = 0
     executed_chunks: int = 0
     resumed_chunks: int = 0
+
+    @staticmethod
+    def merged_fields(cells: Sequence[Mapping[str, object]],
+                      command: str, total_key: str, *, executed: int,
+                      resumed: int) -> dict:
+        """The :class:`DesignReport` fields of one run's chunk payloads.
+
+        Raises :class:`RuntimeError` unless every chunk agrees on the
+        design header and on ``total_key``, the command's own total.
+        """
+        check_chunks_agree(cells, (total_key, *HEADER_KEYS), command)
+        first = cells[0]
+        header = {key: float(first[key]) for key in HEADER_KEYS}
+        # The instance sizes are counts; every other scalar a length.
+        header.update(processes=int(first["processes"]),
+                      nodes=int(first["nodes"]))
+        return {
+            **header,
+            "cache_hits": sum(int(c.get("cache_hits", 0)) for c in cells),
+            "cache_misses": sum(int(c.get("cache_misses", 0))
+                                for c in cells),
+            "executed_chunks": executed,
+            "resumed_chunks": resumed,
+        }
+
+    def to_jsonable(self) -> dict:
+        """The report's ``instance`` and ``schedule`` blocks."""
+        return {
+            "instance": {
+                "processes": self.processes,
+                "nodes": self.nodes,
+                "deadline": self.deadline,
+            },
+            "schedule": {
+                "estimate": self.estimate,
+                "certified_estimate": self.certified_estimate,
+                "estimate_bound": self.estimate_bound,
+                "exact_worst_case": self.exact_worst_case,
+                "fault_free_length": self.fault_free_length,
+                "nft_length": self.nft_length,
+            },
+        }
+
+    def to_json(self) -> str:
+        """Canonical JSON text of the report."""
+        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
+
+    def write_json(self, path: str | Path) -> None:
+        """Write the canonical JSON report (atomic replace)."""
+        journal.write_atomic_text(path, self.to_json() + "\n")
+
+    def estimate_line(self) -> str:
+        """The summary line setting the design's lengths side by side."""
+        return (f"estimate {self.estimate:.1f} (certified "
+                f"{self.certified_estimate:.1f}, bound "
+                f"{self.estimate_bound:.1f}, exact worst case "
+                f"{self.exact_worst_case:.1f})")
+
+
+@dataclass
+class CampaignReport(DesignReport):
+    """Merged outcome of one campaign (all chunks)."""
+
+    config: CampaignConfig
+    stats: CampaignStats
+    plans_total: int
     #: The exhaustive certificate of certified-mode campaigns
     #: (:class:`repro.verify.VerifyReport`), None otherwise.
     verification: object | None = None
@@ -472,6 +594,7 @@ class CampaignReport:
             self.stats.mean_slack_utilization
         stats["deadline_miss_rate"] = self.stats.deadline_miss_rate
         payload = {
+            **super().to_jsonable(),
             "campaign": {
                 "workload": self.config.label,
                 "k": self.config.k,
@@ -483,19 +606,6 @@ class CampaignReport:
             },
             "des_axes": (self.config.des_axes
                          if self.config.uses_des_axes else None),
-            "instance": {
-                "processes": self.processes,
-                "nodes": self.nodes,
-                "deadline": self.deadline,
-            },
-            "schedule": {
-                "estimate": self.estimate,
-                "certified_estimate": self.certified_estimate,
-                "estimate_bound": self.estimate_bound,
-                "exact_worst_case": self.exact_worst_case,
-                "fault_free_length": self.fault_free_length,
-                "nft_length": self.nft_length,
-            },
             "plans_total": self.plans_total,
             "gap_hist_bin_pct": HIST_BIN_PCT,
             "stats": stats,
@@ -505,14 +615,6 @@ class CampaignReport:
         elif self.certify_skipped is not None:
             payload["verification"] = {"skipped": self.certify_skipped}
         return payload
-
-    def to_json(self) -> str:
-        """Canonical JSON text of the report."""
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
-
-    def write_json(self, path: str | Path) -> None:
-        """Write the canonical JSON report (atomic replace)."""
-        journal.write_atomic_text(path, self.to_json() + "\n")
 
     def summary_lines(self) -> list[str]:
         """Human-readable aggregate summary (CLI output)."""
@@ -532,10 +634,7 @@ class CampaignReport:
             f"fault-free {_fmt_opt(stats.fault_free_makespan)} "
             f"simulated ({self.fault_free_length:.1f} estimated), "
             f"deadline {self.deadline:.1f}",
-            f"estimate {self.estimate:.1f} (certified "
-            f"{self.certified_estimate:.1f}, bound "
-            f"{self.estimate_bound:.1f}, exact worst case "
-            f"{self.exact_worst_case:.1f})",
+            self.estimate_line(),
             f"slack utilization: mean "
             f"{stats.mean_slack_utilization * 100:.1f} %, "
             f"max {stats.util_max * 100:.1f} %",
@@ -587,9 +686,9 @@ def run_campaign(config: CampaignConfig, *,
     engine = BatchEngine(engine_config or EngineConfig())
     batch = engine.run(campaign_jobs(config), progress=progress)
     cells = batch.results()
-
-    check_chunks_agree(cells, _CONSISTENT_KEYS, "campaign")
-    first = cells[0]
+    header = DesignReport.merged_fields(
+        cells, "campaign", "plans_total", executed=batch.executed,
+        resumed=batch.resumed)
 
     verification = None
     certify_skipped = None
@@ -624,21 +723,8 @@ def run_campaign(config: CampaignConfig, *,
     return CampaignReport(
         config=config,
         stats=merged,
-        estimate=float(first["estimate"]),
-        certified_estimate=float(first["certified_estimate"]),
-        estimate_bound=float(first["estimate_bound"]),
-        exact_worst_case=float(first["exact_worst_case"]),
-        fault_free_length=float(first["fault_free_length"]),
-        nft_length=float(first["nft_length"]),
-        deadline=float(first["deadline"]),
-        processes=int(first["processes"]),
-        nodes=int(first["nodes"]),
-        plans_total=int(first["plans_total"]),
-        cache_hits=sum(int(c.get("cache_hits", 0)) for c in cells),
-        cache_misses=sum(int(c.get("cache_misses", 0))
-                         for c in cells),
-        executed_chunks=batch.executed,
-        resumed_chunks=batch.resumed,
+        plans_total=int(cells[0]["plans_total"]),
         verification=verification,
         certify_skipped=certify_skipped,
+        **header,
     )

@@ -1,9 +1,9 @@
 """Sharded verification through the batch engine (``repro verify``).
 
 A *verification* takes one workload, synthesizes a fault-tolerant
-design for it (exactly the derivation :func:`repro.campaigns.runner.
-synthesize_campaign_design` gives a campaign with the same seed),
-builds the exact conditional schedule tables, and then **proves** the
+design for it and builds the exact conditional schedule tables (one
+:func:`repro.campaigns.runner.build_design`, the derivation a
+campaign chunk with the same seed runs), and then **proves** the
 tolerance claim: every fault scenario within the budget ``k`` is
 simulated, every run-time invariant checked, and the transparency
 contract audited — the end-to-end certificate the paper's §5.2
@@ -30,21 +30,18 @@ tables it built.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from collections.abc import Mapping
 
 from repro.campaigns.runner import (
-    check_chunks_agree,
+    Design,
+    DesignReport,
+    build_design,
     load_campaign_workload,
-    synthesize_campaign_design,
     workload_label,
 )
-from repro.campaigns.stats import estimate_bound
 from repro.des.core import DesSimulator
-from repro.engine import journal
 from repro.engine.grid import grid_jobs
 from repro.engine.jobs import BatchJob
 from repro.engine.runner import (
@@ -53,15 +50,10 @@ from repro.engine.runner import (
     ProgressCallback,
 )
 from repro.errors import ToleranceViolationError
-from repro.eval.core import EvaluatorPool
-from repro.ftcpg.scenarios import count_fault_plans
 from repro.model.application import Application
 from repro.model.architecture import Architecture
-from repro.model.fault_model import FaultModel
 from repro.model.transparency import Transparency
-from repro.runtime.faults import extend_fault_plans, sample_fault_plans
-from repro.schedule.table import ScheduleSet
-from repro.synthesis.strategies import StrategyResult
+from repro.runtime.faults import sample_fault_plans
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
 from repro.verify.core import ScenarioSweep, chunk_bounds
@@ -183,18 +175,6 @@ def verify_jobs(config: VerifyConfig) -> list[BatchJob]:
     )
 
 
-def scenario_limit_error(total: int, max_scenarios: int,
-                         ) -> ToleranceViolationError | None:
-    """The refusal of ``total`` fault scenarios beyond
-    ``max_scenarios``, or None within the limit."""
-    if total <= max_scenarios:
-        return None
-    return ToleranceViolationError(
-        f"{total} fault scenarios exceed the verification limit "
-        f"{max_scenarios}; raise --max-scenarios or verify a "
-        "smaller instance")
-
-
 def sweep_window(sweep: ScenarioSweep, transparency: Transparency | None,
                  chunk: int, chunks: int) -> dict:
     """Sweep window ``chunk`` of ``chunks`` of a design's scenarios;
@@ -218,86 +198,31 @@ def run_verify_chunk(params: Mapping[str, object]) -> dict:
     same tables.
     """
     app, arch, transparency = load_verify_workload(params["workload"])
-    k = int(params["k"])
-    fault_model = FaultModel(k=k)
-    pool = EvaluatorPool()
-    result = synthesize_campaign_design(
-        app, arch, k, str(params["strategy"]),
-        TabuSettings(**params["settings"]), int(params["seed"]),
-        pool=pool)
-    # Refuse intractable instances *before* paying for the exact
-    # conditional tables (the expensive, explosion-prone step): the
-    # scenario count needs nothing but the synthesized policies.
-    total = count_fault_plans(app, result.policies, k)
-    error = scenario_limit_error(total, int(params["max_scenarios"]))
-    if error is not None:
-        raise error
-    evaluator = pool.evaluator_for(app, arch, fault_model)
-    schedule = evaluator.exact_schedule(
-        result.policies, result.mapping, transparency,
-        max_contexts=int(params["max_contexts"]))
-    certified = evaluator.estimate(
-        result.policies, result.mapping, slack_sharing="budgeted")
-    # Estimate + allowance alone is sound across the policy zoo (the
-    # estimator shares the exact scheduler's replica serialization
-    # order); exact_worst_case stays in the report as a tightness
-    # reference, not a floor.
-    bound = estimate_bound(app, arch, certified, k)
-    sweep = ScenarioSweep(app, arch, result.mapping, result.policies,
-                          fault_model, schedule)
-    window = sweep_window(sweep, transparency, int(params["chunk"]),
+    design = build_design(app, arch, params, transparency=transparency,
+                          max_scenarios=int(params["max_scenarios"]))
+    window = sweep_window(ScenarioSweep(*design.executor_args),
+                          design.transparency, int(params["chunk"]),
                           int(params["chunks"]))
-
-    cache_stats = pool.stats()
+    cache_stats = design.pool.stats()
     payload = {
         "chunk": int(params["chunk"]),
         **window,
         "cache_hits": cache_stats.estimates.hits,
         "cache_misses": cache_stats.estimates.misses,
-        "estimate": result.estimate.schedule_length,
-        "certified_estimate": certified.schedule_length,
-        "estimate_bound": bound,
-        "exact_worst_case": schedule.worst_case_length,
-        "fault_free_length": result.estimate.ff_length,
-        "nft_length": result.nft_length,
-        "deadline": app.deadline,
-        "processes": len(app.process_names),
-        "nodes": len(arch.node_names),
+        **design.header(),
     }
     if "des_scenarios" in params and int(params["chunk"]) == 0:
-        payload["des"] = run_des_scenarios(
-            app, arch, result, fault_model, schedule, params)
+        payload["des"] = run_des_scenarios(design, params)
     return payload
 
 
-#: Scalars every chunk of one verification must agree on (they all
-#: derive from the same seed); a mismatch means a runner broke purity.
-_CONSISTENT_KEYS = ("scenarios_total", "estimate",
-                    "certified_estimate", "estimate_bound",
-                    "exact_worst_case", "fault_free_length",
-                    "nft_length", "deadline", "processes", "nodes")
-
-
 @dataclass
-class VerifyReport:
+class VerifyReport(DesignReport):
     """Merged outcome of one verification (all scenario windows)."""
 
     config: VerifyConfig
     stats: VerificationStats
     scenarios_total: int
-    estimate: float
-    certified_estimate: float
-    estimate_bound: float
-    exact_worst_case: float
-    fault_free_length: float
-    nft_length: float
-    deadline: float
-    processes: int
-    nodes: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-    executed_chunks: int = 0
-    resumed_chunks: int = 0
     #: One-shot DES scenario section (:func:`run_des_scenarios`, run
     #: by chunk 0), None when ``des_scenarios`` was 0.
     des: dict | None = None
@@ -341,6 +266,7 @@ class VerifyReport:
         stats["mean_makespan"] = self.stats.mean_makespan
         stats["frozen_violations"] = self.frozen_violations
         return {
+            **super().to_jsonable(),
             "verify": {
                 "workload": self.config.label,
                 "k": self.config.k,
@@ -348,32 +274,11 @@ class VerifyReport:
                 "chunks": self.config.chunks,
                 "seed": self.config.seed,
             },
-            "instance": {
-                "processes": self.processes,
-                "nodes": self.nodes,
-                "deadline": self.deadline,
-            },
-            "schedule": {
-                "estimate": self.estimate,
-                "certified_estimate": self.certified_estimate,
-                "estimate_bound": self.estimate_bound,
-                "exact_worst_case": self.exact_worst_case,
-                "fault_free_length": self.fault_free_length,
-                "nft_length": self.nft_length,
-            },
             "scenarios_total": self.scenarios_total,
             "certified": self.ok,
             "stats": stats,
             "des": self.des,
         }
-
-    def to_json(self) -> str:
-        """Canonical JSON text of the report."""
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
-
-    def write_json(self, path: str | Path) -> None:
-        """Write the canonical JSON report (atomic replace)."""
-        journal.write_atomic_text(path, self.to_json() + "\n")
 
     def summary_lines(self) -> list[str]:
         """Human-readable aggregate summary (CLI output)."""
@@ -395,10 +300,7 @@ class VerifyReport:
             f"{stats.fault_free_makespan or 0.0:.1f}, "
             f"deadline {self.deadline:.1f}",
             f"worst makespan per fault count: {hist or '-'}",
-            f"estimate {self.estimate:.1f} (certified "
-            f"{self.certified_estimate:.1f}, bound "
-            f"{self.estimate_bound:.1f}, exact worst case "
-            f"{self.exact_worst_case:.1f})",
+            self.estimate_line(),
             f"failures {stats.failures}, transparency violations "
             f"{len(self.frozen_violations)}"
             f" -> {'CERTIFIED' if self.ok else 'NOT certified'} "
@@ -422,37 +324,22 @@ def merge_verify_cells(config: VerifyConfig, cells: list[dict],
                        ) -> VerifyReport:
     """Fold chunk results into one report (exposed for campaigns);
     the DES section, if any, is chunk 0's."""
-    check_chunks_agree(cells, _CONSISTENT_KEYS, "verify")
-    first = cells[0]
+    header = DesignReport.merged_fields(
+        cells, "verify", "scenarios_total", executed=executed,
+        resumed=resumed)
     merged = VerificationStats()
     for cell in cells:
         merged.merge(VerificationStats.from_jsonable(cell["stats"]))
     return VerifyReport(
         config=config,
         stats=merged,
-        scenarios_total=int(first["scenarios_total"]),
-        estimate=float(first["estimate"]),
-        certified_estimate=float(first["certified_estimate"]),
-        estimate_bound=float(first["estimate_bound"]),
-        exact_worst_case=float(first["exact_worst_case"]),
-        fault_free_length=float(first["fault_free_length"]),
-        nft_length=float(first["nft_length"]),
-        deadline=float(first["deadline"]),
-        processes=int(first["processes"]),
-        nodes=int(first["nodes"]),
-        cache_hits=sum(int(c.get("cache_hits", 0)) for c in cells),
-        cache_misses=sum(int(c.get("cache_misses", 0))
-                         for c in cells),
-        executed_chunks=executed,
-        resumed_chunks=resumed,
-        des=first.get("des"),
+        scenarios_total=int(cells[0]["scenarios_total"]),
+        des=cells[0].get("des"),
+        **header,
     )
 
 
-def run_des_scenarios(app: Application, arch: Architecture,
-                      result: StrategyResult, fault_model: FaultModel,
-                      schedule: ScheduleSet,
-                      params: Mapping[str, object]) -> dict:
+def run_des_scenarios(design: Design, params: Mapping[str, object]) -> dict:
     """Execute a verify chunk's DES-only scenarios one-shot.
 
     The scenario windows cover the table-expressible enumeration;
@@ -468,21 +355,13 @@ def run_des_scenarios(app: Application, arch: Architecture,
             "jitter": params["jitter"],
             "slot_faults": params["slot_faults"]}
     base_plans = sample_fault_plans(
-        app, result.policies, fault_model.k,
+        design.app, design.result.policies, design.fault_model.k,
         int(params["des_scenarios"]),
         seed=derive_seed(seed, "verify-des"),
         include_fault_free=False)
-    plans = extend_fault_plans(
-        base_plans,
-        node_names=arch.node_names,
-        process_names=app.process_names,
-        horizon=schedule.worst_case_length,
-        round_length=arch.bus.round_length,
-        slots_per_round=len(arch.bus.slot_order),
-        seed=derive_seed(seed, "verify-des-axes"),
-        **axes)
-    simulator = DesSimulator(app, arch, result.mapping, result.policies,
-                             fault_model, schedule)
+    plans = design.extend_plans(
+        base_plans, seed=derive_seed(seed, "verify-des-axes"), **axes)
+    simulator = DesSimulator(*design.executor_args)
     failures = 0
     worst = 0.0
     unfinished = 0

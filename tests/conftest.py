@@ -137,13 +137,12 @@ def full_recompute(monkeypatch):
 @pytest.fixture
 def derivations(monkeypatch) -> Counter:
     """Counts design derivations of the campaign and verify runners:
-    seed-derived tabu runs (``synthesize_campaign_design``, wherever a
-    runner looks it up) and exact table builds
-    (``eval.core.synthesize_schedule``). No disk cache may serve a
-    table in between."""
+    seed-derived tabu runs (``synthesize_campaign_design``, which both
+    reach through ``campaigns.runner.build_design``) and exact table
+    builds (``eval.core.synthesize_schedule``). No disk cache may
+    serve a table in between."""
     import repro.campaigns.runner as campaign_runner
     import repro.eval.core as eval_core
-    import repro.verify.runner as verify_runner
     from repro.eval.diskcache import CACHE_DIR_ENV
 
     monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
@@ -158,6 +157,5 @@ def derivations(monkeypatch) -> Counter:
         monkeypatch.setattr(module, name, wrapper)
 
     counting(campaign_runner, "synthesize_campaign_design")
-    counting(verify_runner, "synthesize_campaign_design")
     counting(eval_core, "synthesize_schedule")
     return calls

@@ -9,6 +9,8 @@ pipeline rests on:
 * chunk statistics merge exactly, so serial and parallel campaigns
   produce byte-identical reports;
 * a campaign resumes from a checkpoint truncated mid-line;
+* a certified campaign's certificate is byte-identical to the report
+  of a separate verification of the same design;
 * the soundness seam: no sampled plan's simulated finish exceeds the
   certified estimate bound (property-tested over seeded workloads).
 """
@@ -30,17 +32,25 @@ from repro.campaigns import (
     estimate_bound,
     load_campaign_workload,
     run_campaign,
+    run_campaign_chunk,
     sample_campaign_plans,
 )
+from repro.campaigns.runner import HEADER_KEYS, DesignReport
 from repro.cli import main as cli_main
 from repro.engine import EngineConfig
-from repro.errors import PolicyError
+from repro.errors import PolicyError, ToleranceViolationError
 from repro.ftcpg.scenarios import count_fault_plans, iter_fault_plans
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.runtime import simulate
 from repro.schedule import estimate_ft_schedule, synthesize_schedule
 from repro.synthesis import TabuSettings, initial_mapping, synthesize
+from repro.verify import (
+    VerifyConfig,
+    run_verification,
+    run_verify_chunk,
+    verify_jobs,
+)
 from repro.workloads import GeneratorConfig, generate_workload
 
 QUICK = dict(workload={"processes": 5, "nodes": 2, "seed": 3}, k=2,
@@ -52,6 +62,15 @@ CERTIFY_COMMAND = [
     "campaign", "--processes", "6", "--nodes", "2", "--seed", "1",
     "--k", "2", "--sampler", "stratified", "--samples", "50",
     "--certify", "--workers", "1", "--no-resume",
+]
+
+#: The CI smoke's campaign with the DES axes on: the only pinned run
+#: through the campaign's DES extension and its ``des_axes`` block.
+DES_AXES_COMMAND = [
+    "campaign", "--processes", "6", "--nodes", "2", "--seed", "1",
+    "--k", "2", "--sampler", "stratified", "--samples", "50",
+    "--intermittent", "1", "--slot-faults", "1", "--jitter", "0.5",
+    "--chunks", "4", "--workers", "1", "--no-resume",
 ]
 
 
@@ -300,6 +319,27 @@ class TestCampaignRunner:
         assert plain.verification is None
         assert "verification" not in plain.to_jsonable()
 
+    @pytest.mark.parametrize("workload, chunks", [
+        ({"processes": 5, "nodes": 2, "seed": 3}, 3),
+        ({"preset": "cruise"}, 2),
+    ], ids=["generated", "cruise"])
+    def test_certificate_equals_verify_report(self, workload, chunks):
+        """A certified campaign's certificate is byte-identical to the
+        report of a separate verification of the same workload, k,
+        strategy, chunks, seed and tabu settings."""
+        common = dict(workload=workload, k=2, strategy="MXR",
+                      chunks=chunks, seed=1,
+                      settings=TabuSettings(iterations=4, neighborhood=4,
+                                            bus_contention=False))
+        engine = EngineConfig(workers=1)
+        campaign = run_campaign(
+            CampaignConfig(**common, sampler="stratified", samples=20,
+                           certify=True),
+            engine_config=engine)
+        verify = run_verification(VerifyConfig(**common),
+                                  engine_config=engine)
+        assert campaign.verification.to_json() == verify.to_json()
+
     def test_certify_beyond_budget_degrades_gracefully(self):
         config = CampaignConfig(**QUICK, certify=True,
                                 certify_max_scenarios=1)
@@ -314,6 +354,38 @@ class TestCampaignRunner:
         assert report.to_jsonable()["verification"]["skipped"]
         assert any("SKIPPED" in line
                    for line in report.summary_lines())
+
+    def test_scenario_refusal_names_the_commands_flag(self):
+        """A skipped certificate names ``--certify-max-scenarios``, the
+        flag ``repro campaign`` takes; a verify chunk's refusal names
+        ``--max-scenarios``."""
+        config = CampaignConfig(**QUICK, certify=True,
+                                certify_max_scenarios=1)
+        payload = run_campaign_chunk(
+            campaign_jobs(config)[0].params_dict())
+        assert "raise --certify-max-scenarios " \
+            in payload["certificate"]["skipped"]
+        verify = VerifyConfig(workload=QUICK["workload"], k=QUICK["k"],
+                              max_scenarios=1)
+        with pytest.raises(ToleranceViolationError,
+                           match="raise --max-scenarios "):
+            run_verify_chunk(verify_jobs(verify)[0].params_dict())
+
+    @pytest.mark.parametrize("key", ["total", *HEADER_KEYS])
+    @pytest.mark.parametrize("command, total_key", [
+        ("verify", "scenarios_total"), ("campaign", "plans_total")])
+    def test_merge_rejects_disagreeing_chunks(self, command, total_key,
+                                              key):
+        """The merge of both commands' reports refuses chunks that
+        disagree on a design scalar or on the command's own total."""
+        key = total_key if key == "total" else key
+        cell = {total_key: 10, **dict.fromkeys(HEADER_KEYS, 1.0),
+                "cache_hits": 1, "cache_misses": 1}
+        cells = [cell, dict(cell), {**cell, key: 2.0}]
+        with pytest.raises(RuntimeError,
+                           match=f"{command} chunks disagree on '{key}'"):
+            DesignReport.merged_fields(cells, command, total_key,
+                                       executed=3, resumed=0)
 
     def test_certified_campaign_derives_each_design_once(
             self, derivations):
@@ -363,8 +435,8 @@ class TestCampaignRunner:
                             "025c89910bab79b70efe9d18e669acfe"),
         # Beyond the scenario budget: the certificate is skipped.
         (["--chunks", "3", "--certify-max-scenarios", "1"],
-         "9fb9c9dac0c2b2b88447dd15ba12598e"
-         "7b90228ddaf73c2bb536df9b0ea8b87d"),
+         "2d595da745c324bdaa09a997de11059e"
+         "c4fc23756328ee6124c97fbf02c0fe7d"),
     ], ids=["chunks1", "chunks3", "skipped"])
     def test_certified_report_bytes_pinned(self, tmp_path, capsys,
                                            extra, digest):
@@ -375,6 +447,16 @@ class TestCampaignRunner:
                         + ["--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_des_axes_report_bytes_pinned(self, tmp_path, capsys):
+        """The axes step outside the k-fault hypothesis, so the run
+        finds violations and exits 1 by design."""
+        out = tmp_path / "campaign.json"
+        assert cli_main(DES_AXES_COMMAND + ["--out", str(out)]) == 1
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() \
+            == ("375f1cc112b9ce1f8ed837e1e5fe4078"
+                "36131229a6609ddd975e970f6e2de2be")
 
     def test_exhaustive_campaign_matches_verify_count(self):
         config = CampaignConfig(

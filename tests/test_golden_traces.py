@@ -39,7 +39,11 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns import CampaignConfig
-from repro.campaigns.runner import build_campaign_design, campaign_jobs
+from repro.campaigns.runner import (
+    build_design,
+    campaign_jobs,
+    load_campaign_workload,
+)
 from repro.campaigns.sampling import sample_campaign_plans
 from repro.des import DesSimulator, render_trace
 from repro.ftcpg.scenarios import (
@@ -51,7 +55,6 @@ from repro.ftcpg.scenarios import (
 )
 from repro.model import FaultModel
 from repro.policies import PolicyAssignment, ProcessPolicy
-from repro.runtime.faults import extend_fault_plans
 from repro.runtime.simulator import SimulationResult, simulate
 from repro.schedule.conditional import synthesize_schedule
 from repro.schedule.table import EntryKind
@@ -230,24 +233,17 @@ def _campaign_des_lines(seed: int) -> list[str]:
         settings=TabuSettings(iterations=8, neighborhood=8,
                               bus_contention=False),
         intermittent=1, slot_faults=1, jitter=0.5)
-    design = build_campaign_design(campaign_jobs(config)[0].params_dict())
-    app, arch, schedule = design.app, design.arch, design.schedule
-    policies = design.result.policies
+    design = build_design(*load_campaign_workload(config.workload),
+                          campaign_jobs(config)[0].params_dict())
     plans = sample_campaign_plans(
-        app, policies, config.k, sampler=config.sampler,
-        samples=config.samples,
+        design.app, design.result.policies, config.k,
+        sampler=config.sampler, samples=config.samples,
         seed=derive_seed(config.seed, "campaign-plans"))
-    plans = extend_fault_plans(
-        plans, node_names=arch.node_names,
-        process_names=app.process_names,
-        horizon=schedule.worst_case_length,
-        round_length=arch.bus.round_length,
-        slots_per_round=len(arch.bus.slot_order),
-        intermittent=config.intermittent,
+    plans = design.extend_plans(
+        plans, intermittent=config.intermittent,
         slot_faults=config.slot_faults, jitter=config.jitter,
         seed=derive_seed(config.seed, "campaign-des"))
-    des = DesSimulator(app, arch, design.result.mapping, policies,
-                       design.fault_model, schedule)
+    des = DesSimulator(*design.executor_args)
     lines = [f"# design seed {seed}: {len(plans)} plans"]
     for plan in plans:
         run = des.run(plan)

@@ -23,10 +23,10 @@ import json
 import pytest
 
 import repro.verify.runner as verify_runner
+from repro.campaigns.runner import build_design
 from repro.cli import main as cli_main
 from repro.engine import EngineConfig
 from repro.errors import ToleranceViolationError
-from repro.eval.core import EvaluatorPool
 from repro.ftcpg.scenarios import (
     count_fault_plans,
     iter_fault_plans,
@@ -84,15 +84,8 @@ def _chunk_design(config):
     """The ``(app, arch, mapping, policies, fault_model, schedule)``
     design every ``run_verify_chunk`` of ``config`` derives."""
     app, arch, transparency = load_verify_workload(config.workload)
-    fm = FaultModel(k=config.k)
-    pool = EvaluatorPool()
-    result = verify_runner.synthesize_campaign_design(
-        app, arch, config.k, config.strategy, config.settings,
-        config.seed, pool=pool)
-    schedule = pool.evaluator_for(app, arch, fm).exact_schedule(
-        result.policies, result.mapping, transparency,
-        max_contexts=config.max_contexts)
-    return app, arch, result.mapping, result.policies, fm, schedule
+    return build_design(app, arch, verify_jobs(config)[0].params_dict(),
+                        transparency=transparency).executor_args
 
 
 QUICK_SETTINGS = TabuSettings(iterations=4, neighborhood=4,
@@ -105,6 +98,14 @@ QUICK = dict(workload={"processes": 5, "nodes": 2, "seed": 1}, k=2,
 DES_COMMAND = [
     "verify", "--processes", "6", "--nodes", "2", "--seed", "1",
     "--k", "2", "--des-scenarios", "10", "--jitter", "0.5",
+    "--workers", "1", "--no-resume",
+]
+
+#: The CI verify-DES smoke: the only pinned run whose design is
+#: derived with a transparency (the bbw preset's), and chunk 0 runs
+#: its DES scenarios on those transparency-aware tables.
+BBW_DES_COMMAND = [
+    "verify", "--preset", "bbw", "--k", "1", "--des-scenarios", "10",
     "--workers", "1", "--no-resume",
 ]
 
@@ -488,17 +489,19 @@ class TestVerifyRunner:
         assert again.resumed_chunks == plain_config.chunks
         assert again.to_json() == plain.to_json()
 
-    @pytest.mark.parametrize("chunks, digest", [
-        ("1", "37a91d3023e1334f70e54fa90313b206"
-              "fea31ca2ff44a2c787c28ce1bd025e95"),
-        ("3", "080fa9d4d84e1fb9262735e4bf4fe6f4"
-              "641219f91ba3c55280010876c3bf1f2a"),
-    ], ids=["chunks1", "chunks3"])
-    def test_des_report_bytes_pinned(self, tmp_path, capsys, chunks,
-                                     digest):
+    @pytest.mark.parametrize("command, chunks, digest", [
+        (DES_COMMAND, "1", "37a91d3023e1334f70e54fa90313b206"
+                           "fea31ca2ff44a2c787c28ce1bd025e95"),
+        (DES_COMMAND, "3", "080fa9d4d84e1fb9262735e4bf4fe6f4"
+                           "641219f91ba3c55280010876c3bf1f2a"),
+        (BBW_DES_COMMAND, "3", "c8b7744242ee35afe026fc52ad797227"
+                               "37f7fc8476b633cf690a371ff3bedf9c"),
+    ], ids=["chunks1", "chunks3", "bbw"])
+    def test_des_report_bytes_pinned(self, tmp_path, capsys, command,
+                                     chunks, digest):
         out = tmp_path / "verify.json"
-        assert cli_main(DES_COMMAND + ["--chunks", chunks,
-                                       "--out", str(out)]) == 0
+        assert cli_main(command + ["--chunks", chunks,
+                                   "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
