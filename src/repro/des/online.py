@@ -33,11 +33,12 @@ fault toggles < deliveries < finishes < activations, mirroring the
 replay rule that bus effects land before attempts start.
 
 The candidate activations do not depend on the plan, so the engine
-compiles them once per design: the presorted activation stream the
-event queue merges into its clusters, each entry's observing node and
-guard (as indices into a flat knowledge array), a *guard trie* over
-those guards, the slots the tables reserve, and the TDMA bus. A plan
-only pushes its own fault-window, jitter, finish and delivery events.
+compiles them once per design: the presorted activation stream of a
+:class:`~repro.schedule.compiled.CompiledSchedule`, each entry's
+observing node and guard (as indices into a flat knowledge array), a
+*guard trie* over those guards, the slots the tables reserve, and the
+TDMA bus. A plan only pushes its own fault-window, jitter, finish and
+delivery events.
 
 Most entries never fire in a given plan: the tables carry a column
 for every scenario. The trie shares guard prefixes — a node is a
@@ -55,8 +56,6 @@ guard-checks every entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.comm.tdma import TdmaBus
 from repro.des.events import DesEvent, DesEventKind
 from repro.des.queue import EventQueue, Stream
@@ -66,7 +65,12 @@ from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.types import PolicyAssignment
-from repro.runtime.simulator import SimulationResult, _validate_plan
+from repro.runtime.simulator import (
+    SimulationResult,
+    _validate_plan,
+    completion_result,
+)
+from repro.schedule.compiled import CompiledSchedule
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
 from repro.utils.mathutils import TIME_EPS, fgt, flt
@@ -80,31 +84,6 @@ P_FAULT = 0
 P_DELIVER = 1
 P_FINISH = 2
 P_ACTIVATE = 3
-
-_ENTRY_RANK = {EntryKind.BROADCAST: 0, EntryKind.MESSAGE: 1,
-               EntryKind.ATTEMPT: 2}
-
-
-@dataclass(frozen=True, slots=True)
-class _Activation:
-    """One table entry compiled for activation (plan-independent)."""
-
-    entry: TableEntry
-    #: Where the guard is observed: the attempt's node, or the node
-    #: sending a message or broadcast.
-    node: str
-    #: ``(knowledge slot, faulty)`` per guard literal, in guard order.
-    guard: tuple[tuple[int, bool], ...]
-    #: ``entry.start + TIME_EPS``: knowledge arriving later is unknown
-    #: at the nominal start.
-    latest: float
-    #: Knowledge slot of the entry's own attempt on ``node`` (written
-    #: at an attempt's finish, read by its broadcast); -1 for messages.
-    own: int = -1
-    #: A broadcast's knowledge slots of its attempt on every node.
-    spread: tuple[int, ...] = ()
-    #: A message's producing copy.
-    producer: CopyKey | None = None
 
 
 class OnlineEngine:
@@ -135,51 +114,37 @@ class OnlineEngine:
             for entry in schedule.entries
             for frame in entry.frames)
 
-        slots: dict[tuple[AttemptId, str], int] = {}
+        # The activation stream has one position per entry of the view.
+        # Per position: the entry, its observing node, its own attempt
+        # id, that attempt's knowledge slot on the node (written at an
+        # attempt's finish, read by its broadcast; -1 for messages) and
+        # its copy (a message's producer). Attempt ``a`` on node ``n``
+        # is knowledge slot ``a * nodes + n``.
+        view = CompiledSchedule(app, arch, mapping, policies, schedule)
+        self._nodes = nodes = len(view.node_names)
+        self._entries = view.entries
+        self._node = [view.node_names[nid] for nid in view.node]
+        self._attempt = view.attempt
+        self._own = [aid * nodes + nid if aid >= 0 else -1
+                     for aid, nid in zip(view.attempt, view.node)]
+        copy_keys = tuple(view.copy_of)
+        self._copy = [copy_keys[cid] if cid >= 0 else None
+                      for cid in view.copy]
+        self._stream = Stream([entry.start for entry in view.entries])
+        self._slot_count = len(view.attempts) * nodes
 
-        def slot(attempt: AttemptId, node: str) -> int:
-            return slots.setdefault((attempt, node), len(slots))
-
-        def guard_on(entry: TableEntry,
-                     node: str) -> tuple[tuple[int, bool], ...]:
-            return tuple((slot(literal.attempt, node), literal.faulty)
-                         for literal in entry.guard.literals)
-
-        activations: list[_Activation] = []
-        for entry in sorted(schedule.entries,
-                            key=lambda e: (e.start, _ENTRY_RANK[e.kind])):
-            latest = entry.start + TIME_EPS
-            if entry.kind is EntryKind.MESSAGE:
-                src = app.message(entry.message).src
-                node = mapping.node_of(src, entry.producer_copy)
-                activation = _Activation(
-                    entry, node, guard_on(entry, node), latest,
-                    producer=(src, entry.producer_copy))
-            elif entry.kind is EntryKind.BROADCAST:
-                attempt = entry.attempt
-                node = mapping.node_of(attempt.process, attempt.copy)
-                activation = _Activation(
-                    entry, node, guard_on(entry, node), latest,
-                    own=slot(attempt, node),
-                    spread=tuple(slot(attempt, name)
-                                 for name in arch.node_names))
-            else:
-                node = entry.location
-                activation = _Activation(
-                    entry, node, guard_on(entry, node), latest,
-                    own=slot(entry.attempt, node))
-            activations.append(activation)
-        #: The activation stream, in ``(start, kind-rank)`` order.
-        self._activations: tuple[_Activation, ...] = tuple(activations)
-        self._stream = Stream([a.entry.start for a in activations])
-        self._slot_count = len(slots)
-
-        # The guard trie; node 0 (the empty guard) is the root.
+        # Per position, ``(knowledge slot, faulty)`` per guard literal,
+        # and the guard trie; node 0 (the empty guard) is the root.
+        self._guards: list[tuple[tuple[int, bool], ...]] = []
         members: list[list[int]] = [[]]
         edges: list[dict[int, list[int]]] = [{}]
-        for position, activation in enumerate(activations):
+        for position, (pairs, nid) in enumerate(zip(view.guard,
+                                                    view.node)):
+            guard = tuple((aid * nodes + nid, faulty)
+                          for aid, faulty in pairs)
+            self._guards.append(guard)
             node = 0
-            for literal_slot, faulty in activation.guard:
+            for literal_slot, faulty in guard:
                 children = edges[node].setdefault(literal_slot, [-1, -1])
                 if children[faulty] < 0:
                     children[faulty] = len(members)
@@ -247,13 +212,14 @@ class OnlineEngine:
                 release = self.app.process(name).release + delay
                 queue.push(release, P_FAULT, ("jitter", name, delay))
 
-        activations = self._activations
         while queue:
             for _time, _priority, _seq, payload in queue.pop_cluster():
                 self._dispatch(payload)
             for position in queue.pop_woken():
-                self._activate(activations[position])
-        return self._finish(), self.events
+                self._activate(position)
+        return completion_result(self.app, self.policies, plan,
+                                 self.completion, self.errors,
+                                 self.fired), self.events
 
     # -- event dispatch -----------------------------------------------------
 
@@ -312,7 +278,7 @@ class OnlineEngine:
 
     # -- activation ---------------------------------------------------------
 
-    def _activate(self, activation: _Activation) -> None:
+    def _activate(self, position: int) -> None:
         """Activate one entry iff its guard is satisfied by the
         condition values known on its observing node at the entry's
         nominal start.
@@ -323,22 +289,24 @@ class OnlineEngine:
         entries for *all* scenarios, and the trie prunes the quiet
         majority), but this check alone decides."""
         known = self.known
-        latest = activation.latest
-        for slot, faulty in activation.guard:
+        entry = self._entries[position]
+        # Knowledge arriving later is unknown at the nominal start.
+        latest = entry.start + TIME_EPS
+        for slot, faulty in self._guards[position]:
             observed = known[slot]
             if observed is None or observed[0] > latest \
                     or observed[1] != faulty:
                 return
-        kind = activation.entry.kind
+        kind = entry.kind
         if kind is EntryKind.ATTEMPT:
-            self._activate_attempt(activation)
+            self._activate_attempt(position)
         elif kind is EntryKind.MESSAGE:
-            self._activate_message(activation)
+            self._activate_message(position)
         else:
-            self._activate_broadcast(activation)
+            self._activate_broadcast(position, latest)
 
-    def _activate_attempt(self, activation: _Activation) -> None:
-        entry = activation.entry
+    def _activate_attempt(self, position: int) -> None:
+        entry = self._entries[position]
         attempt = entry.attempt
         key = (attempt.process, attempt.copy)
         node = entry.location
@@ -387,10 +355,10 @@ class OnlineEngine:
                     f"{attempt.attempt - 1} was detected faulty ({prev})")
 
         self.attempt_finish[attempt] = entry.end
-        self.queue.push(entry.end, P_FINISH, ("finish", activation))
+        self.queue.push(entry.end, P_FINISH, ("finish", position))
 
-    def _finish_attempt(self, activation: _Activation) -> None:
-        entry = activation.entry
+    def _finish_attempt(self, position: int) -> None:
+        entry = self._entries[position]
         attempt = entry.attempt
         key = (attempt.process, attempt.copy)
         node = entry.location
@@ -403,7 +371,7 @@ class OnlineEngine:
             for window in self.plan.windows)
         failed = base_fail or window_hit
         if entry.can_fail:
-            self._learn(activation.own, entry.end, failed)
+            self._learn(self._own[position], entry.end, failed)
 
         outcome = "ok"
         if failed:
@@ -442,26 +410,26 @@ class OnlineEngine:
 
     # -- bus ----------------------------------------------------------------
 
-    def _activate_message(self, activation: _Activation) -> None:
-        if activation.producer not in self.completion:
+    def _activate_message(self, position: int) -> None:
+        if self._copy[position] not in self.completion:
             return  # fail-silent producer: the reserved slots idle
-        entry = activation.entry
+        entry = self._entries[position]
         self.fired.append(entry)
-        arrival = self._transmit(entry, activation.node,
+        arrival = self._transmit(entry, self._node[position],
                                  f"{entry.message}")
         self.queue.push(arrival, P_DELIVER,
                         ("deliver-msg", entry, arrival))
 
-    def _activate_broadcast(self, activation: _Activation) -> None:
-        observed = self.known[activation.own]
-        if observed is None or observed[0] > activation.latest:
+    def _activate_broadcast(self, position: int, latest: float) -> None:
+        observed = self.known[self._own[position]]
+        if observed is None or observed[0] > latest:
             return  # nothing detected yet: nothing to broadcast
-        entry = activation.entry
+        entry = self._entries[position]
         self.fired.append(entry)
-        arrival = self._transmit(entry, activation.node,
+        arrival = self._transmit(entry, self._node[position],
                                  f"F[{entry.attempt.label()}]")
         self.queue.push(arrival, P_DELIVER,
-                        ("deliver-bcast", activation, arrival,
+                        ("deliver-bcast", position, arrival,
                          observed[1]))
 
     def _transmit(self, entry: TableEntry, sender_node: str,
@@ -514,45 +482,12 @@ class OnlineEngine:
             if node not in slot or arrival < slot[node]:
                 slot[node] = arrival
 
-    def _deliver_broadcast(self, activation: _Activation, arrival: float,
+    def _deliver_broadcast(self, position: int, arrival: float,
                            faulty: bool) -> None:
         value = "fault" if faulty else "ok"
         self._log(arrival, DesEventKind.BROADCAST_DELIVERED,
-                  f"F[{activation.entry.attempt.label()}]={value}")
-        for slot in activation.spread:
+                  f"F[{self._entries[position].attempt.label()}]={value}")
+        # Every node's knowledge slot of the attempt.
+        first = self._attempt[position] * self._nodes
+        for slot in range(first, first + self._nodes):
             self._learn(slot, arrival, faulty)
-
-    # -- completion ---------------------------------------------------------
-
-    def _finish(self) -> SimulationResult:
-        errors = self.errors
-        completed: dict[str, float] = {}
-        for process in self.app.processes:
-            finishes = [
-                self.completion[(process.name, c)]
-                for c in range(len(self.policies.of(process.name).copies))
-                if (process.name, c) in self.completion
-            ]
-            if not finishes:
-                errors.append(f"process {process.name!r} never completed "
-                              f"(plan: {self.plan.describe()})")
-                continue
-            completed[process.name] = min(finishes)
-            if process.deadline is not None and \
-                    fgt(completed[process.name], process.deadline):
-                errors.append(
-                    f"process {process.name!r} missed local deadline "
-                    f"{process.deadline} (finished "
-                    f"{completed[process.name]})")
-        makespan = max(completed.values()) if completed else float("inf")
-        if fgt(makespan, self.app.deadline):
-            errors.append(
-                f"global deadline {self.app.deadline} missed (makespan "
-                f"{makespan}, plan {self.plan.describe()})")
-        return SimulationResult(
-            plan=self.plan,
-            completed=completed,
-            makespan=makespan,
-            errors=errors,
-            fired_entries=tuple(self.fired),
-        )

@@ -137,25 +137,6 @@ class Guard:
         """Conjunction of two compatible guards."""
         return Guard(self._literals + other._literals)
 
-    def merge_complementary(self, other: "Guard") -> "Guard | None":
-        """The common guard of a complementary pair, else ``None``.
-
-        ``self`` and ``other`` form a pair when they constrain the
-        same attempts and disagree on exactly one of them: their
-        disjunction is then this guard without that literal, in
-        ``self``'s literal order.
-        """
-        mine, theirs = self._by_attempt, other._by_attempt
-        if mine.keys() != theirs.keys():
-            return None
-        differing = [attempt for attempt, faulty in mine.items()
-                     if theirs[attempt] != faulty]
-        if len(differing) != 1:
-            return None
-        target = differing[0]
-        return Guard(lit for lit in self._literals
-                     if lit.attempt != target)
-
     def implies(self, other: "Guard") -> bool:
         """True when every assignment satisfying self satisfies other."""
         for attempt, faulty in other._by_attempt.items():

@@ -1,9 +1,9 @@
 """Batched scenario kernel: many fault plans through one schedule.
 
 :class:`BatchedSimulator` compiles one design's conditional schedule
-into integer-indexed tables once (attempt-id universe, per-entry
-static fields, guard literals as ``(attempt id, wanted state)`` pairs,
-a fault-signature index over the guards) and then advances many
+into integer-indexed tables once (a
+:class:`~repro.schedule.compiled.CompiledSchedule`, per-entry static
+fields, a fault-signature index over its guards) and then advances many
 :class:`~repro.ftcpg.scenarios.FaultPlan` scenarios through the table
 replay in one pass per plan:
 
@@ -38,7 +38,6 @@ dependency.
 
 from __future__ import annotations
 
-from repro.ftcpg.conditions import AttemptId
 from repro.ftcpg.scenarios import FaultPlan
 from repro.kernels import counters
 from repro.model.application import Application
@@ -46,20 +45,15 @@ from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.types import PolicyAssignment
 from repro.runtime.simulator import SimulationResult, simulate
+from repro.schedule.compiled import KIND_RANK, CompiledSchedule
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet
 from repro.utils.mathutils import eps_cluster_ids, fgt, flt
 
-CopyKey = tuple[str, int]
-
-#: State encoding per attempt id: absent / executed-and-failed /
-#: executed-and-succeeded (mirrors the oracle's ``executed`` dict
-#: where presence maps to a ``failed`` bool).
-_ABSENT, _FAILED, _OK = 0, 1, 2
-
-#: Kind ranks matching :func:`repro.runtime.simulator._kind_rank`.
-_KIND_RANK = {EntryKind.BROADCAST: 0, EntryKind.MESSAGE: 1,
-              EntryKind.ATTEMPT: 2}
+#: State per attempt id: succeeded / failed / absent, as in the
+#: oracle's ``executed`` dict (presence maps to a ``failed`` bool), so
+#: a guard literal's ``faulty`` equals the state it requires.
+_OK, _FAILED, _ABSENT = 0, 1, 2
 
 
 class BatchedSimulator:
@@ -77,35 +71,21 @@ class BatchedSimulator:
         self._schedule = schedule
         self._k = fault_model.k
         counters.schedules_compiled += 1
-
-        node_names = tuple(arch.node_names)
-        self._n_nodes = len(node_names)
-        nid_of = {node: nid for nid, node in enumerate(node_names)}
+        view = CompiledSchedule(app, arch, mapping, policies, schedule)
+        self._n_nodes = len(view.node_names)
 
         # -- copy registry ----------------------------------------------------
-        copy_of: dict[CopyKey, int] = {}
-        copy_segments: list[int] = []
-        copy_recoveries: list[int] = []
-        copy_nid: list[int] = []
-        copy_pid: list[int] = []
         names = tuple(app.process_names)
         pid_of = {name: pid for pid, name in enumerate(names)}
-        for process_name, policy in policies.items():
-            for copy_index, copy_plan in enumerate(policy.copies):
-                copy_of[(process_name, copy_index)] = len(copy_nid)
-                copy_segments.append(copy_plan.segments)
-                copy_recoveries.append(copy_plan.recoveries)
-                copy_nid.append(
-                    nid_of[mapping.node_of(process_name, copy_index)])
-                copy_pid.append(pid_of[process_name])
-        self._copy_of = copy_of
-        self._copy_segments = copy_segments
-        self._copy_recoveries = copy_recoveries
-        self._copy_nid = copy_nid
-        self._copy_pid_table = copy_pid
+        self._copy_of = view.copy_of
+        self._copy_segments = copy_segments = view.copy_segments
+        self._copy_recoveries = view.copy_recoveries
+        self._copy_nid = view.copy_node
+        self._copy_pid_table = [pid_of[process]
+                                for process, _copy in view.copy_of]
         # Stride packing (copy, segment) into one int key.
         self._seg_stride = max(copy_segments, default=1) + 2
-        n_copies = len(copy_nid)
+        n_copies = len(copy_segments)
 
         # -- per-process tables -----------------------------------------------
         msg_of = {m: i for i, m in enumerate(app.message_names)}
@@ -117,46 +97,42 @@ class BatchedSimulator:
         self._proc_outputs = [
             [msg_of[m.name] for m in app.outputs_of(n)] for n in names]
         self._proc_copies: list[list[int]] = [[] for _ in names]
-        for key, cidx in copy_of.items():
-            self._proc_copies[pid_of[key[0]]].append(cidx)
+        for cidx, pid in enumerate(self._copy_pid_table):
+            self._proc_copies[pid].append(cidx)
 
-        # -- attempt-id universe ----------------------------------------------
-        # Guard literal and attempt objects are massively shared across
-        # entries (the synthesizer extends parent guards), so interning
-        # memoizes on object identity first and only falls back to
-        # (slow) dataclass hashing for the first sighting of each
-        # object. Only objects reachable from the retained entries may
-        # be id-memoized — a temporary's id would be recycled and
-        # poison the memo.
-        aid_of: dict[AttemptId, int] = {}
-        att_memo: dict[int, int] = {}
-        lit_memo: dict[int, tuple[int, int]] = {}
+        # -- aid -> copy, copy -> aids, fault-free base state -----------------
+        aid_cidx = view.attempt_copy
+        self._copy_aids: list[list[int]] = [[] for _ in range(n_copies)]
+        self._copy_att_aid: list[dict[tuple[int, int], int]] = [
+            {} for _ in range(n_copies)]
+        base_state = bytearray([_ABSENT]) * len(view.attempts)
+        for aid, attempt in enumerate(view.attempts):
+            cidx = aid_cidx[aid]
+            if cidx < 0:
+                continue
+            self._copy_aids[cidx].append(aid)
+            self._copy_att_aid[cidx][(attempt.segment,
+                                      attempt.attempt)] = aid
+            if attempt.attempt == 1 \
+                    and 1 <= attempt.segment <= copy_segments[cidx]:
+                base_state[aid] = _OK
+        self._base_state = base_state
 
-        def intern(attempt: AttemptId) -> int:
-            aid = att_memo.get(id(attempt))
-            if aid is None:
-                aid = aid_of.get(attempt)
-                if aid is None:
-                    aid = len(aid_of)
-                    aid_of[attempt] = aid
-                att_memo[id(attempt)] = aid
-            return aid
-
-        # -- per-entry static tables (in global replay presort order) ---------
-        entries = schedule.entries
-        order = sorted(
-            range(len(entries)),
-            key=lambda i: (entries[i].start, _KIND_RANK[entries[i].kind]))
-        self._entries = [entries[i] for i in order]
-        n_entries = len(order)
-        self._kind = [0] * n_entries
-        self._start = [0.0] * n_entries
-        self._end = [0.0] * n_entries
-        self._lits: list[list[tuple[int, int]]] = [[] for _ in order]
-        self._aid = [-1] * n_entries
+        # -- per-entry static tables and the fault-signature index -----------
+        # Entries are bucketed by the bitmask of copies on which one of
+        # their literals disagrees with the base state. An entry with a
+        # literal on an attempt of no known copy can never fire (that
+        # attempt is absent in every scenario) and is dropped.
+        self._entries = entries = view.entries
+        self._lits = lits = view.guard
+        self._aid = view.attempt
+        self._loc_nid = view.node
+        self._cidx = cids = view.copy
+        self._kind = [KIND_RANK[entry.kind] for entry in entries]
+        self._start = [entry.start for entry in entries]
+        self._end = [entry.end for entry in entries]
+        n_entries = len(entries)
         self._can_fail = [False] * n_entries
-        self._loc_nid = [-1] * n_entries
-        self._cidx = [-1] * n_entries
         self._segment = [0] * n_entries
         self._attempt_no = [0] * n_entries
         self._prev_aid = [-1] * n_entries
@@ -164,85 +140,31 @@ class BatchedSimulator:
         self._msg = [-1] * n_entries
         self._frames: list[tuple[tuple[int, int], ...]] = \
             [()] * n_entries
-        pending_prev: list[tuple[int, AttemptId]] = []
-        for j, entry in enumerate(self._entries):
-            self._kind[j] = _KIND_RANK[entry.kind]
-            self._start[j] = entry.start
-            self._end[j] = entry.end
-            lits_j = self._lits[j]
-            for literal in entry.guard.literals:
-                pair = lit_memo.get(id(literal))
-                if pair is None:
-                    pair = (intern(literal.attempt),
-                            _FAILED if literal.faulty else _OK)
-                    lit_memo[id(literal)] = pair
-                lits_j.append(pair)
-            if entry.attempt is not None:
-                self._aid[j] = intern(entry.attempt)
-            if entry.kind is EntryKind.ATTEMPT:
+        buckets: dict[int, list[int]] = {}
+        for j, entry in enumerate(entries):
+            kind = entry.kind
+            if kind is EntryKind.ATTEMPT:
                 attempt = entry.attempt
+                cidx = cids[j]
                 self._can_fail[j] = entry.can_fail
-                self._loc_nid[j] = nid_of[entry.location]
-                cidx = copy_of[(attempt.process, attempt.copy)]
-                self._cidx[j] = cidx
                 self._segment[j] = attempt.segment
                 self._attempt_no[j] = attempt.attempt
                 self._is_last[j] = (
                     attempt.segment == copy_segments[cidx])
                 if attempt.attempt > 1:
-                    pending_prev.append(
-                        (j, AttemptId(attempt.process, attempt.copy,
-                                      attempt.segment,
-                                      attempt.attempt - 1)))
+                    # A predecessor no entry or guard mentions stays
+                    # -1 (such a retry can only be an oracle-reported
+                    # error anyway).
+                    self._prev_aid[j] = self._copy_att_aid[cidx].get(
+                        (attempt.segment, attempt.attempt - 1), -1)
             else:
                 self._frames[j] = tuple(
                     (frame.round_index, frame.slot_index)
                     for frame in entry.frames)
-                if entry.kind is EntryKind.MESSAGE:
-                    message = app.message(entry.message)
+                if kind is EntryKind.MESSAGE:
                     self._msg[j] = msg_of[entry.message]
-                    self._cidx[j] = copy_of.get(
-                        (message.src, entry.producer_copy), -1)
-        # Resolve retry predecessors once the universe is complete; a
-        # predecessor no entry or guard mentions stays -1 (such a retry
-        # can only be an oracle-reported error anyway).
-        for j, prev_attempt in pending_prev:
-            self._prev_aid[j] = aid_of.get(prev_attempt, -1)
-        self._n_aids = len(aid_of)
-
-        # -- aid -> copy, copy -> aids ----------------------------------------
-        aid_cidx = [-1] * self._n_aids
-        self._copy_aids: list[list[int]] = [[] for _ in range(n_copies)]
-        self._copy_att_aid: list[dict[tuple[int, int], int]] = [
-            {} for _ in range(n_copies)]
-        for attempt, aid in aid_of.items():
-            cidx = copy_of.get((attempt.process, attempt.copy))
-            if cidx is None:
-                continue
-            aid_cidx[aid] = cidx
-            self._copy_aids[cidx].append(aid)
-            self._copy_att_aid[cidx][(attempt.segment,
-                                      attempt.attempt)] = aid
-
-        # -- fault-free base state --------------------------------------------
-        base_state = bytearray(self._n_aids)
-        for cidx in range(n_copies):
-            att_aid = self._copy_att_aid[cidx]
-            for segment in range(1, copy_segments[cidx] + 1):
-                aid = att_aid.get((segment, 1))
-                if aid is not None:
-                    base_state[aid] = _OK
-        self._base_state = base_state
-
-        # -- fault-signature index --------------------------------------------
-        # Bucket entries by the bitmask of copies on which one of their
-        # literals disagrees with the base state. An entry with a
-        # literal on an attempt of no known copy can never fire (that
-        # attempt is absent in every scenario) and is dropped.
-        buckets: dict[int, list[int]] = {}
-        for j, lits_j in enumerate(self._lits):
             signature = 0
-            for aid, want in lits_j:
+            for aid, want in lits[j]:
                 cidx = aid_cidx[aid]
                 if cidx < 0:
                     break
@@ -285,7 +207,7 @@ class BatchedSimulator:
         """Apply one copy's fault distribution; return its success.
 
         Mirrors the ground truth :func:`repro.runtime.simulator.simulate`
-        derives, over the interned attempt universe (attempts no entry
+        derives, over the compiled attempt ids (attempts no entry
         or guard references are unobservable and skipped).
         """
         for aid in self._copy_aids[cidx]:

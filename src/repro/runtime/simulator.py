@@ -37,6 +37,7 @@ from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.types import PolicyAssignment
+from repro.schedule.compiled import KIND_RANK
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
 from repro.utils.mathutils import eps_cluster_ids, fgt, flt
@@ -218,7 +219,17 @@ def simulate(
             _deliver_message(entry, app, copy_success, delivered,
                              completion, errors, arch)
 
-    # Completion & deadline checks.
+    return completion_result(app, policies, plan, completion, errors,
+                             fired)
+
+
+def completion_result(app: Application, policies: PolicyAssignment,
+                      plan: FaultPlan | DesFaultPlan,
+                      completion: Mapping[CopyKey, float], errors: list[str],
+                      fired: list[TableEntry]) -> SimulationResult:
+    """One executed plan's verdict (replay and forward execution):
+    each process completes at its earliest copy completion; the
+    completion and deadline errors are appended to ``errors``."""
     completed: dict[str, float] = {}
     for process in app.processes:
         finishes = [
@@ -251,13 +262,6 @@ def simulate(
     )
 
 
-def _kind_rank(entry: TableEntry) -> int:
-    # At equal starts, bus effects are processed before attempts so an
-    # attempt starting exactly at a message arrival sees the data.
-    return {EntryKind.BROADCAST: 0, EntryKind.MESSAGE: 1,
-            EntryKind.ATTEMPT: 2}[entry.kind]
-
-
 def _replay_order(entries: list[TableEntry]) -> list[TableEntry]:
     """Sort for replay: by start, kind tie-break for near-tie starts.
 
@@ -269,14 +273,14 @@ def _replay_order(entries: list[TableEntry]) -> list[TableEntry]:
     overlap error on one platform but not another. Starts are grouped
     by clustering *runs* closer than ``TIME_EPS`` (not by rounding to
     a fixed grid, which would still split a near-tie straddling a grid
-    boundary); within a group, bus effects come before attempts. The
-    anchored-run clustering itself lives in
+    boundary); within a group, bus effects come before attempts
+    (``KIND_RANK``). The anchored-run clustering itself lives in
     :func:`repro.utils.mathutils.eps_cluster_ids`, shared with the
     verifier's frozen-start bucketing.
     """
-    ordered = sorted(entries, key=lambda e: (e.start, _kind_rank(e)))
+    ordered = sorted(entries, key=lambda e: (e.start, KIND_RANK[e.kind]))
     groups = eps_cluster_ids([entry.start for entry in ordered])
-    keyed = [(group, _kind_rank(entry), entry.start, entry)
+    keyed = [(group, KIND_RANK[entry.kind], entry.start, entry)
              for group, entry in zip(groups, ordered)]
     keyed.sort(key=lambda item: item[:3])
     return [item[3] for item in keyed]

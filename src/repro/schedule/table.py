@@ -11,11 +11,12 @@ activates entries whose guard matches the observed conditions.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.comm.tdma import FrameWindow
-from repro.ftcpg.conditions import AttemptId, Guard
-from repro.utils.mathutils import feq
+from repro.ftcpg.conditions import AttemptId, ConditionLiteral, Guard
+from repro.utils.mathutils import eps_cluster_ids, feq
 
 #: Pseudo-location of bus entries.
 BUS = "bus"
@@ -146,25 +147,45 @@ class ScheduleSet:
         the literal. This yields the compact tables of paper Fig. 6.
 
         One pass of per-shape fixpoints: entries are grouped by shape
-        (everything but the guard) and each group's guards are merged
+        (everything but the guard, with starts and durations compared
+        by ``TIME_EPS`` cluster) and each group's guards are merged
         until no complementary pair is left. A merged entry keeps its
-        group's shape and every group ends at a fixpoint, so a second
-        pass could never merge anything.
+        group's first entry, and every group ends at a fixpoint, so a
+        second pass could never merge anything.
         """
         entries = self.entries
+        starts = sorted({entry.start for entry in entries})
+        start_id = dict(zip(starts, eps_cluster_ids(starts)))
+        durations = sorted({entry.duration for entry in entries})
+        duration_id = dict(zip(durations, eps_cluster_ids(durations)))
         by_shape: dict[tuple, list[int]] = {}
         for index, entry in enumerate(entries):
             shape = (entry.kind, entry.location, entry.attempt,
                      entry.message, entry.producer_copy,
-                     round(entry.start, 6), round(entry.duration, 6),
+                     start_id[entry.start], duration_id[entry.duration],
                      entry.frames, entry.can_fail)
             by_shape.setdefault(shape, []).append(index)
+        # Guards share literal objects (a guard extends its parent's
+        # literal tuple), so each literal's attempt is numbered once,
+        # memoized by id(). Every literal it sees is one of
+        # ``entries``, which outlive it: no id is recycled.
+        bit_of: dict[AttemptId, int] = {}
+        memo: dict[int, int] = {}
+
+        def bit(literal: ConditionLiteral) -> int:
+            found = memo.get(id(literal))
+            if found is None:
+                found = memo[id(literal)] = bit_of.setdefault(
+                    literal.attempt, 1 << len(bit_of))
+            return found
+
         merged_out: set[int] = set()
         additions: list[TableEntry] = []
         for indices in by_shape.values():
             if len(indices) < 2:
                 continue
-            result = _merge_guards([entries[i].guard for i in indices])
+            result = _merge_guards([entries[i].guard for i in indices],
+                                   bit)
             if result is not None:
                 merged_out.update(indices)
                 additions.extend(replace(entries[indices[0]], guard=guard)
@@ -179,28 +200,50 @@ class ScheduleSet:
         )
 
 
-def _merge_guards(guards: list[Guard]) -> list[Guard] | None:
+def _merge_guards(guards: list[Guard],
+                  bit: Callable[[ConditionLiteral], int],
+                  ) -> list[Guard] | None:
     """Merge complementary guard pairs until none is left.
+
+    Guards are compared as bitmasks over the attempt numbering ``bit``:
+    ``care`` (the attempts constrained) and ``value`` (those required
+    faulty). Two guards pair when their ``care`` is equal and their
+    ``value`` differs in one bit; their disjunction is the first guard
+    without that literal, in its literal order.
 
     Greedy: the first mergeable pair in scan order merges, its union
     goes to the end of the list and the scan restarts. Returns the
     reduced set, or ``None`` when nothing merges.
     """
-    remaining = list(guards)
+    remaining: list[tuple[int, int, Guard]] = []
+    for guard in guards:
+        care = value = 0
+        for literal in guard.literals:
+            literal_bit = bit(literal)
+            care |= literal_bit
+            if literal.faulty:
+                value |= literal_bit
+        remaining.append((care, value, guard))
     merged_any = False
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(remaining)):
-            for j in range(i + 1, len(remaining)):
-                union = remaining[i].merge_complementary(remaining[j])
-                if union is not None:
-                    rest = [g for idx, g in enumerate(remaining)
-                            if idx not in (i, j)]
-                    remaining = rest + [union]
-                    merged_any = True
-                    changed = True
-                    break
-            if changed:
-                break
-    return remaining if merged_any else None
+    while (pair := _first_pair(remaining)) is not None:
+        i, j, diff = pair
+        care, value, guard = remaining[i]
+        union = Guard(literal for literal in guard.literals
+                      if bit(literal) != diff)
+        del remaining[j], remaining[i]
+        remaining.append((care & ~diff, value & ~diff, union))
+        merged_any = True
+    return [guard for _care, _value, guard in remaining] \
+        if merged_any else None
+
+
+def _first_pair(masked: list[tuple[int, int, Guard]],
+                ) -> tuple[int, int, int] | None:
+    """The first complementary pair ``i < j`` and its differing bit."""
+    for i, (care, value, _guard) in enumerate(masked):
+        for j in range(i + 1, len(masked)):
+            other_care, other_value, _other = masked[j]
+            diff = value ^ other_value
+            if other_care == care and diff and not diff & (diff - 1):
+                return i, j, diff
+    return None

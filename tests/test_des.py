@@ -279,9 +279,9 @@ class TestLiveWalk:
             woken.append((position, queue._cursor))
             wake(queue, position)
 
-        def recording_activate(engine, activation):
-            checked.append(activation.entry)
-            activate(engine, activation)
+        def recording_activate(engine, position):
+            checked.append(engine._entries[position])
+            activate(engine, position)
 
         monkeypatch.setattr(EventQueue, "wake", recording_wake)
         monkeypatch.setattr(OnlineEngine, "_activate", recording_activate)
@@ -349,7 +349,7 @@ class TestLiveWalk:
                        is DesEventKind.BROADCAST_DELIVERED
                        and event.label == "F[P1]=ok"]
         assert delivered.time == 42.0
-        late = [engine._activations[position].entry
+        late = [engine._entries[position]
                 for position, cursor in woken if position < cursor]
         assert consumer in late
         assert consumer not in checked

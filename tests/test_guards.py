@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ftcpg import AttemptId, ConditionLiteral, Guard
+from repro.schedule.table import _merge_guards
 
 
 def att(process: str = "P1", copy: int = 0, segment: int = 1,
@@ -15,6 +16,17 @@ def att(process: str = "P1", copy: int = 0, segment: int = 1,
 def lit(process: str = "P1", faulty: bool = True, **kwargs,
         ) -> ConditionLiteral:
     return ConditionLiteral(att(process, **kwargs), faulty)
+
+
+def numbering():
+    """A fresh numbering of attempts as bits, looked up per literal."""
+    bits: dict[AttemptId, int] = {}
+    return lambda literal: bits.setdefault(literal.attempt, 1 << len(bits))
+
+
+def merge_pair(first: Guard, second: Guard) -> list[Guard] | None:
+    """What compression merges two guards of one shape into."""
+    return _merge_guards([first, second], numbering())
 
 
 class TestAttemptId:
@@ -77,33 +89,36 @@ class TestGuard:
         g = Guard([lit("P1")]).union(Guard([lit("P2")]))
         assert len(g) == 2
 
+    # Compression's pair rule lives in ``_merge_guards``, which compares
+    # guards as bitmasks over one numbering of their attempts.
+
     def test_merge_complementary_drops_the_differing_literal(self):
         a = Guard([lit("P1", True), lit("P2", False), lit("P3", True)])
         b = Guard([lit("P3", True), lit("P1", True), lit("P2", True)])
-        merged = a.merge_complementary(b)
+        [merged] = merge_pair(a, b)
         assert merged == Guard([lit("P1", True), lit("P3", True)])
-        # The result keeps the receiver's literal order.
+        # The result keeps the first guard's literal order.
         assert str(merged) == "F[P1] & F[P3]"
-        assert str(b.merge_complementary(a)) == "F[P3] & F[P1]"
+        assert str(merge_pair(b, a)[0]) == "F[P3] & F[P1]"
 
     def test_merge_complementary_to_true(self):
-        merged = Guard([lit("P1", True)]).merge_complementary(
-            Guard([lit("P1", False)]))
-        assert merged is not None and merged.is_unconditional
+        [merged] = merge_pair(Guard([lit("P1", True)]),
+                              Guard([lit("P1", False)]))
+        assert merged.is_unconditional
 
     def test_merge_complementary_rejects_non_pairs(self):
         ab = Guard([lit("P1", True), lit("P2", True)])
         # Two differing literals.
-        assert ab.merge_complementary(
-            Guard([lit("P1", False), lit("P2", False)])) is None
+        assert merge_pair(
+            ab, Guard([lit("P1", False), lit("P2", False)])) is None
         # Equal guards differ in nothing.
-        assert ab.merge_complementary(
-            Guard([lit("P2", True), lit("P1", True)])) is None
+        assert merge_pair(
+            ab, Guard([lit("P2", True), lit("P1", True)])) is None
         # Different attempt sets, equal or unequal in size.
-        assert ab.merge_complementary(
-            Guard([lit("P1", False), lit("P3", True)])) is None
-        assert ab.merge_complementary(Guard([lit("P1", False)])) is None
-        assert Guard.TRUE.merge_complementary(Guard.TRUE) is None
+        assert merge_pair(
+            ab, Guard([lit("P1", False), lit("P3", True)])) is None
+        assert merge_pair(ab, Guard([lit("P1", False)])) is None
+        assert merge_pair(Guard.TRUE, Guard.TRUE) is None
 
     def test_implies(self):
         strong = Guard([lit("P1"), lit("P2")])

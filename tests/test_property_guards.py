@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.ftcpg import AttemptId, ConditionLiteral, Guard
+from repro.schedule.table import _merge_guards
+from tests.test_guards import merge_pair, numbering
 
 attempt_ids = st.builds(
     AttemptId,
@@ -45,6 +48,51 @@ def guard_and_literal(draw) -> tuple[Guard, ConditionLiteral]:
         existing = draw(st.sampled_from(guard.literals))
         return guard, ConditionLiteral(existing.attempt, draw(st.booleans()))
     return guard, draw(literals)
+
+
+@st.composite
+def guard_sets(draw) -> list[Guard]:
+    """2 to 12 guards over at most 5 attempts, duplicates allowed:
+    the guards of one compression shape group."""
+    pool = draw(st.lists(attempt_ids, min_size=1, max_size=5, unique=True))
+    pooled = st.builds(ConditionLiteral, attempt=st.sampled_from(pool),
+                       faulty=st.booleans())
+    return draw(st.lists(
+        st.lists(pooled, max_size=len(pool)).map(
+            lambda ls: Guard(consistent_literals(ls))),
+        min_size=2, max_size=12))
+
+
+def _covered(guards: list[Guard], attempts: list[AttemptId],
+             ) -> set[tuple[bool, ...]]:
+    """The total assignments of ``attempts`` some guard holds under."""
+    return {values for values in itertools.product(
+                (False, True), repeat=len(attempts))
+            if any(guard.satisfied_by(dict(zip(attempts, values)))
+                   for guard in guards)}
+
+
+_A, _B = AttemptId("P1", 0, 1, 1), AttemptId("P2", 0, 1, 1)
+
+
+def _ab(a: bool, b: bool) -> Guard:
+    return Guard([ConditionLiteral(_A, a), ConditionLiteral(_B, b)])
+
+
+class TestMergeGuardsProperties:
+    @given(guard_sets())
+    # {ab, a!b, !ab}: the result depends on which pair is scanned
+    # first; the property holds either way.
+    @example([_ab(True, True), _ab(True, False), _ab(False, True)])
+    @example([_ab(False, True), _ab(True, True), _ab(True, False)])
+    def test_merging_keeps_what_the_guards_cover(self, guards):
+        attempts = sorted({literal.attempt for guard in guards
+                           for literal in guard.literals})
+        merged = _merge_guards(guards, numbering())
+        result = guards if merged is None else merged
+        assert _covered(result, attempts) == _covered(guards, attempts)
+        for first, second in itertools.combinations(result, 2):
+            assert merge_pair(first, second) is None
 
 
 class TestGuardProperties:

@@ -144,6 +144,24 @@ class TestCompression:
         compressed = schedule_of(entries).compressed()
         assert [str(e.guard) for e in compressed.entries] == expected
 
+    @pytest.mark.parametrize("field", ["start", "duration"])
+    def test_near_equal_times_merge_across_a_rounding_boundary(self,
+                                                               field):
+        """Times closer than TIME_EPS are one time, even when they
+        round to different 6-decimal values (1.0 and 1.000001)."""
+        cond = att("P9")
+        a = entry(guard=Guard([ConditionLiteral(cond, True)]),
+                  **{field: 1.0000004})
+        b = entry(guard=Guard([ConditionLiteral(cond, False)]),
+                  **{field: 1.0000006})
+        assert round(1.0000004, 6) != round(1.0000006, 6)
+        compressed = schedule_of([a, b]).compressed()
+        assert len(compressed.entries) == 1
+        merged = compressed.entries[0]
+        assert merged.guard.is_unconditional
+        # The merged entry keeps its group's first entry.
+        assert getattr(merged, field) == 1.0000004
+
     def test_can_fail_blocks_merge(self):
         cond = att("P9")
         a = entry(guard=Guard([ConditionLiteral(cond, True)]),
