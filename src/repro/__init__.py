@@ -28,72 +28,34 @@ Quick start::
     from repro.synthesis import synthesize
 """
 
-from repro.errors import (
-    ContextExplosionError,
-    MappingError,
-    ModelError,
-    PolicyError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    SynthesisError,
-    ToleranceViolationError,
-    ValidationError,
-)
-from repro.model import (
-    Application,
-    Architecture,
-    BusSpec,
-    FaultModel,
-    Message,
-    Node,
-    Process,
-    Transparency,
-    merge_applications,
-    validate_model,
-)
-from repro.policies import (
-    CopyExecution,
-    CopyPlan,
-    PolicyAssignment,
-    PolicyKind,
-    ProcessPolicy,
-    local_optimal_checkpoints,
-)
-from repro.ftcpg import (
-    AttemptId,
-    ConditionLiteral,
-    FaultPlan,
-    Ftcpg,
-    Guard,
-    build_ftcpg,
-    count_fault_plans,
-    iter_fault_plans,
-)
-from repro.schedule import (
-    CopyMapping,
-    FtEstimate,
-    ScheduleSet,
-    estimate_ft_schedule,
-    fault_tolerance_overhead,
-    render_schedule_set,
-    synthesize_schedule,
-)
-from repro.runtime import simulate, verify_tolerance
-from repro.synthesis import (
-    StrategyResult,
-    TabuSettings,
-    nft_baseline,
-    synthesize,
-)
+from repro._lazy import lazy_exports
 
-from repro._version import __version__
-from repro.eval import (
-    DesignEvaluation,
-    Evaluator,
-    EvaluatorPool,
-    ScheduleProblem,
-)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".errors": (
+        "ContextExplosionError", "MappingError", "ModelError", "PolicyError",
+        "ReproError", "SchedulingError", "SimulationError", "SynthesisError",
+        "ToleranceViolationError", "ValidationError"),
+    ".model": (
+        "Application", "Architecture", "BusSpec", "FaultModel", "Message",
+        "Node", "Process", "Transparency", "merge_applications",
+        "validate_model"),
+    ".policies": (
+        "CopyExecution", "CopyPlan", "PolicyAssignment", "PolicyKind",
+        "ProcessPolicy", "local_optimal_checkpoints"),
+    ".ftcpg": (
+        "AttemptId", "ConditionLiteral", "FaultPlan", "Ftcpg", "Guard",
+        "build_ftcpg", "count_fault_plans", "iter_fault_plans"),
+    ".schedule": (
+        "CopyMapping", "FtEstimate", "ScheduleSet", "estimate_ft_schedule",
+        "fault_tolerance_overhead", "render_schedule_set",
+        "synthesize_schedule"),
+    ".runtime": ("simulate", "verify_tolerance"),
+    ".synthesis": (
+        "StrategyResult", "TabuSettings", "nft_baseline", "synthesize"),
+    "._version": ("__version__",),
+    ".eval": (
+        "DesignEvaluation", "Evaluator", "EvaluatorPool", "ScheduleProblem"),
+})
 
 __all__ = [
     "Application",

@@ -20,27 +20,18 @@ See ``docs/campaigns.md`` for the full picture and
 built on top.
 """
 
-from repro.campaigns.runner import (
-    CHUNK_RUNNER,
-    PRESET_WORKLOADS,
-    CampaignConfig,
-    CampaignReport,
-    campaign_jobs,
-    load_campaign_workload,
-    run_campaign,
-    run_campaign_chunk,
-)
-from repro.campaigns.sampling import (
-    MAX_EXHAUSTIVE_PLANS,
-    SAMPLERS,
-    chunk_slice,
-    sample_campaign_plans,
-)
-from repro.campaigns.stats import (
-    CampaignStats,
-    broadcast_allowance,
-    estimate_bound,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..workloads.presets": ("PRESET_WORKLOADS",),
+    ".runner": (
+        "CHUNK_RUNNER", "CampaignConfig", "CampaignReport", "campaign_jobs",
+        "load_campaign_workload", "run_campaign", "run_campaign_chunk"),
+    ".sampling": (
+        "MAX_EXHAUSTIVE_PLANS", "SAMPLERS", "chunk_slice",
+        "sample_campaign_plans"),
+    ".stats": ("CampaignStats", "broadcast_allowance", "estimate_bound"),
+})
 
 __all__ = [
     "CHUNK_RUNNER",

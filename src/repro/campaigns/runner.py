@@ -38,10 +38,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.campaigns.sampling import (
+    DEFAULT_CERTIFY_MAX_SCENARIOS,
     SAMPLERS,
     chunk_slice,
     sample_campaign_plans,
@@ -76,13 +78,10 @@ from repro.synthesis.strategies import StrategyResult, synthesize
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
 from repro.workloads.generator import GeneratorConfig, generate_workload
-from repro.workloads.presets import SIMPLE_PRESETS
+from repro.workloads.presets import PRESET_WORKLOADS, SIMPLE_PRESETS
 
 #: Import-path runner reference resolved by engine workers.
 CHUNK_RUNNER = "repro.campaigns.runner:run_campaign_chunk"
-
-#: Named workloads a campaign can target (all transparency-free).
-PRESET_WORKLOADS = tuple(SIMPLE_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class CampaignConfig:
     #: ``repro verify`` with the same seed and chunk count sweeps —
     #: and the folded certificate lands in the report.
     certify: bool = False
-    certify_max_scenarios: int = 200_000
+    certify_max_scenarios: int = DEFAULT_CERTIFY_MAX_SCENARIOS
     #: DES-only fault axes (docs/des.md): every sampled faulty plan is
     #: extended with this many intermittent fault windows …
     intermittent: int = 0
@@ -304,6 +303,13 @@ class Design:
         return (self.app, self.arch, self.result.mapping,
                 self.result.policies, self.fault_model, self.schedule)
 
+    @cached_property
+    def kernel(self) -> BatchedSimulator:
+        """The batched scenario kernel of this design's tables,
+        compiled on first use and shared by every replay of the
+        design (sampled plans and certificate windows alike)."""
+        return BatchedSimulator(*self.executor_args)
+
     def header(self) -> dict:
         """The :data:`HEADER_KEYS` scalars of every chunk payload."""
         estimate = self.result.estimate
@@ -444,7 +450,7 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
         # Table-expressible plans only: the batched kernel replays
         # them bit-identically to simulate(), falling back to the
         # oracle per plan for anything it cannot prove.
-        run_plan = BatchedSimulator(*design.executor_args).simulate_plan
+        run_plan = design.kernel.simulate_plan
     stats = CampaignStats()
     for plan in slice_plans:
         outcome = run_plan(plan)
@@ -468,7 +474,7 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
         # for the shared design derivation.
         from repro.verify.core import ScenarioSweep
         from repro.verify.runner import sweep_window
-        sweep = ScenarioSweep(*design.executor_args)
+        sweep = ScenarioSweep(*design.executor_args, kernel=design.kernel)
         error = scenario_limit_error(sweep.total, int(max_scenarios),
                                      flag="--certify-max-scenarios")
         payload["certificate"] = (

@@ -47,6 +47,10 @@ SAMPLERS = ("exhaustive", "uniform", "stratified")
 #: Refuse exhaustive enumeration beyond this many plans.
 MAX_EXHAUSTIVE_PLANS = 200_000
 
+#: Default limit of a certified campaign: its certificate is skipped
+#: for designs with more fault scenarios than this.
+DEFAULT_CERTIFY_MAX_SCENARIOS = 200_000
+
 
 def sample_campaign_plans(
     app: Application,

@@ -76,54 +76,19 @@ import math
 import os
 import sys
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.campaigns import (
-    PRESET_WORKLOADS,
-    SAMPLERS,
-    CampaignConfig,
-    run_campaign,
-)
-from repro.campaigns.stats import HIST_BIN_PCT
-from repro.dse import (
-    DEFAULT_EPSILONS,
-    DSE_STRATEGIES,
-    DseConfig,
-    SpaceConfig,
-    run_dse,
-)
-from repro.engine import BACKENDS, BatchEngine, EngineConfig, JobOutcome
-from repro.engine.workdir import DEFAULT_LEASE_TIMEOUT, work
-from repro.eval import CACHE_DIR_ENV
-from repro.lint import (
-    RULE_IDS,
-    lint_paths,
-    render_json,
-    render_text,
-)
-from repro import __version__
-from repro.experiments import campaign as campaign_sweep
-from repro.experiments import fig7, fig8
-from repro.experiments.pareto import (
-    ParetoSweepConfig,
-    run_pareto_sweep,
-    write_sweep_csv,
-    write_sweep_json,
-)
-from repro.experiments.reporting import (
-    cache_stats_from_cells,
-    render_rows,
-)
-from repro.model import FaultModel
-from repro.policies import PolicyAssignment, ProcessPolicy
-from repro.schedule import (
-    render_schedule_set,
-    schedule_metrics,
-    synthesize_schedule,
-)
-from repro.synthesis import TabuSettings, initial_mapping, synthesize
-from repro.verify import VerifyConfig, run_verification
-from repro.verify.runner import load_verify_workload
-from repro.workloads import SIMPLE_PRESETS, fig5_example
+if TYPE_CHECKING:
+    from repro.engine.runner import EngineConfig, JobOutcome
+    from repro.synthesis.tabu import TabuSettings
+
+# Each command imports the layers it runs inside its handler, and the
+# parser takes its choices and defaults from light modules, so parsing
+# the command line (``--help``, ``--version``) imports no scheduler.
+
+#: The sweeps of ``repro batch --experiment``: the cell sweeps of
+#: :func:`_cell_sweeps`, then the Pareto sweep.
+_EXPERIMENTS = ("fig7", "fig8", "campaign-sweep", "pareto")
 
 
 def _workload_spec(args) -> dict:
@@ -135,6 +100,7 @@ def _workload_spec(args) -> dict:
 
 
 def _settings(args) -> TabuSettings:
+    from repro.synthesis.tabu import TabuSettings
     return TabuSettings(iterations=args.iterations,
                         neighborhood=args.neighborhood,
                         seed=args.seed)
@@ -147,8 +113,8 @@ def _engine_config(args) -> EngineConfig:
     params) on purpose: worker processes inherit it, and reports stay
     byte-identical with and without the cache.
     """
-    if args.cache_dir:
-        os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
+    from repro.engine.runner import EngineConfig
+    _export_cache_dir(args)
     return EngineConfig(
         workers=args.workers,
         checkpoint_path=args.checkpoint,
@@ -158,6 +124,13 @@ def _engine_config(args) -> EngineConfig:
         lease_size=args.lease_size,
         lease_timeout=args.lease_timeout,
     )
+
+
+def _export_cache_dir(args) -> None:
+    """Export ``--cache-dir`` to this process and its workers."""
+    if args.cache_dir:
+        from repro.eval.diskcache import CACHE_DIR_ENV
+        os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
 
 
 def _validate_engine_flags(parser: argparse.ArgumentParser,
@@ -186,6 +159,13 @@ def _validate_engine_flags(parser: argparse.ArgumentParser,
 
 
 def _cmd_synth(args) -> int:
+    from repro.model import FaultModel
+    from repro.schedule.conditional import synthesize_schedule
+    from repro.schedule.metrics import schedule_metrics
+    from repro.schedule.render import render_schedule_set
+    from repro.synthesis.strategies import synthesize
+    from repro.verify.runner import load_verify_workload
+
     app, arch, transparency = load_verify_workload(_workload_spec(args))
     fault_model = FaultModel(k=args.k)
     result = synthesize(app, arch, fault_model, args.strategy,
@@ -213,6 +193,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from repro.model import FaultModel
+    from repro.policies import PolicyAssignment, ProcessPolicy
+    from repro.schedule.conditional import synthesize_schedule
+    from repro.schedule.render import render_schedule_set
+    from repro.synthesis.initial import initial_mapping
+    from repro.verify.runner import load_verify_workload
+    from repro.workloads.presets import fig5_example
+
     app, arch, transparency = load_verify_workload(_workload_spec(args))
     fault_model = FaultModel(k=args.k)
     policies = PolicyAssignment.uniform(
@@ -228,6 +216,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from repro.synthesis.tabu import TabuSettings
+    from repro.verify.runner import VerifyConfig, run_verification
+
     config = VerifyConfig(
         workload=_workload_spec(args),
         k=args.k,
@@ -261,19 +252,24 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-#: The cell sweeps of ``repro batch --experiment``: config class, job
-#: expansion, row aggregation, row header, and the paper comparison
-#: printed under the rows (None: the paper has none).
-_CELL_SWEEPS = {
-    "fig7": (fig7.Fig7Config, fig7.fig7_jobs, fig7.rows_from_cells,
-             fig7.ROW_HEADER, fig7.paper_comparison),
-    "fig8": (fig8.Fig8Config, fig8.fig8_jobs, fig8.rows_from_cells,
-             fig8.ROW_HEADER, fig8.paper_comparison),
-    "campaign-sweep": (campaign_sweep.CampaignSweepConfig,
-                       campaign_sweep.campaign_sweep_jobs,
-                       campaign_sweep.rows_from_cells,
-                       campaign_sweep.ROW_HEADER, None),
-}
+def _cell_sweeps() -> dict:
+    """The cell sweeps of ``repro batch --experiment``: config class,
+    job expansion, row aggregation, row header, and the paper
+    comparison printed under the rows (None: the paper has none)."""
+    from repro.experiments import campaign as campaign_sweep
+    from repro.experiments import fig7, fig8
+
+    return {
+        "fig7": (fig7.Fig7Config, fig7.fig7_jobs, fig7.rows_from_cells,
+                 fig7.ROW_HEADER, fig7.paper_comparison),
+        "fig8": (fig8.Fig8Config, fig8.fig8_jobs, fig8.rows_from_cells,
+                 fig8.ROW_HEADER, fig8.paper_comparison),
+        "campaign-sweep": (campaign_sweep.CampaignSweepConfig,
+                           campaign_sweep.campaign_sweep_jobs,
+                           campaign_sweep.rows_from_cells,
+                           campaign_sweep.ROW_HEADER, None),
+    }
+
 
 def _announce_cell(outcome: JobOutcome) -> None:
     resumed = " (resumed)" if outcome.from_checkpoint else ""
@@ -283,8 +279,14 @@ def _announce_cell(outcome: JobOutcome) -> None:
 def _run_cell_sweep(args):
     """Run a cell sweep and print its rows and summary; return the
     report's JSON and CSV writers."""
+    from repro.engine.runner import BatchEngine
+    from repro.experiments.reporting import (
+        cache_stats_from_cells,
+        render_rows,
+    )
+
     config_cls, jobs, rows_from_cells, header, comparison = \
-        _CELL_SWEEPS[args.experiment]
+        _cell_sweeps()[args.experiment]
     # --profile names the config's classmethod: quick() or paper().
     config = getattr(config_cls, args.profile)()
     report = BatchEngine(_engine_config(args)).run(
@@ -317,6 +319,13 @@ def _run_cell_sweep(args):
 def _run_pareto_sweep(args):
     """Run the Pareto sweep and print every workload's frontier;
     return the sweep report's JSON and CSV writers."""
+    from repro.experiments.pareto import (
+        ParetoSweepConfig,
+        run_pareto_sweep,
+        write_sweep_csv,
+        write_sweep_json,
+    )
+
     reports = run_pareto_sweep(getattr(ParetoSweepConfig, args.profile)(),
                                engine_config=_engine_config(args))
     for report in reports:
@@ -343,6 +352,10 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    from repro.campaigns.runner import CampaignConfig, run_campaign
+    from repro.campaigns.stats import HIST_BIN_PCT
+    from repro.synthesis.tabu import TabuSettings
+
     config = CampaignConfig(
         workload=_workload_spec(args),
         k=args.k,
@@ -381,6 +394,10 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_dse(args) -> int:
+    from repro.dse.explorer import DseConfig, run_dse
+    from repro.dse.space import SpaceConfig
+    from repro.synthesis.tabu import TabuSettings
+
     config = DseConfig(
         workload=_workload_spec(args),
         space=SpaceConfig(
@@ -415,6 +432,8 @@ def _cmd_dse(args) -> int:
 
 
 def _cmd_lint(args) -> int:
+    from repro.lint import lint_paths, render_json, render_text
+
     report = lint_paths(args.paths,
                         rules=args.rule or None,
                         path_filters=args.path or None)
@@ -426,8 +445,9 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    if args.cache_dir:
-        os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
+    from repro.engine.workdir import work
+
+    _export_cache_dir(args)
 
     def announce(job, result, elapsed):
         print(f"  [{job.job_id}] done in {elapsed:.1f}s", flush=True)
@@ -506,8 +526,39 @@ _nonnegative_float = _ranged(float, 0)
 _finite_nonnegative_float = _ranged(float, 0, finite=True)
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: print the package version and exit, looking it
+    up (an ``importlib.metadata`` scan) only when the flag is given."""
+
+    def __init__(self, option_strings: Sequence[str], dest: str,
+                 help: str | None = None) -> None:
+        super().__init__(option_strings, dest=argparse.SUPPRESS,
+                         default=argparse.SUPPRESS, nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values,
+                 option_string=None) -> None:
+        from repro._version import __version__
+        print(f"{parser.prog} {__version__}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser (exposed for tests)."""
+    from repro.campaigns.sampling import (
+        DEFAULT_CERTIFY_MAX_SCENARIOS,
+        SAMPLERS,
+    )
+    from repro.dse.archive import (
+        DEFAULT_EPSILONS,
+        DEFAULT_VERIFY_MAX_SCENARIOS,
+    )
+    from repro.dse.space import DSE_STRATEGIES
+    from repro.engine.backends import BACKENDS
+    from repro.engine.workdir import DEFAULT_LEASE_TIMEOUT
+    from repro.lint import RULE_IDS
+    from repro.verify.stats import DEFAULT_MAX_SCENARIOS
+    from repro.workloads.presets import PRESET_WORKLOADS, SIMPLE_PRESETS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Synthesis of fault-tolerant embedded systems "
@@ -515,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
-        "--version", action="version",
-        version=f"%(prog)s {__version__}",
+        "--version", action=_VersionAction,
         help="print the package version (from the installed "
              "distribution metadata, falling back to pyproject.toml "
              "in a source checkout) and exit")
@@ -606,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "serial and parallel reports are "
                                "byte-identical")
     p_verify.add_argument("--max-scenarios", type=_positive_int,
-                          default=VerifyConfig().max_scenarios,
+                          default=DEFAULT_MAX_SCENARIOS,
                           help="refuse instances beyond this many "
                                "fault scenarios instead of running "
                                "forever")
@@ -647,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an experiment sweep (Fig. 7, Fig. 8, campaign or "
              "Pareto) through the parallel batch engine")
     p_batch.add_argument("--experiment",
-                         choices=(*_CELL_SWEEPS, "pareto"),
+                         choices=_EXPERIMENTS,
                          required=True)
     p_batch.add_argument("--profile", choices=("quick", "paper"),
                          default="quick")
@@ -718,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "certificate lands in the report (exit "
                              "code includes it)")
     p_camp.add_argument("--certify-max-scenarios", type=_positive_int,
-                        default=CampaignConfig().certify_max_scenarios,
+                        default=DEFAULT_CERTIFY_MAX_SCENARIOS,
                         help="skip the certificate (keeping the "
                              "sampled report) when the design has "
                              "more fault scenarios than this")
@@ -811,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "design and flag it certified/failed in "
                             "the table, JSON and CSV")
     p_dse.add_argument("--verify-max-scenarios", type=_positive_int,
-                       default=DseConfig().verify_max_scenarios,
+                       default=DEFAULT_VERIFY_MAX_SCENARIOS,
                        help="skip certifying frontier designs with "
                             "more fault scenarios than this (flagged "
                             "as '-' instead)")

@@ -7,7 +7,11 @@ slots a (partial) schedule has already claimed, so several schedulers
 simulator) share one consistent notion of when a frame can go out.
 """
 
-from repro.comm.tdma import FrameWindow, TdmaBus, Transmission
-from repro.comm.reservations import BusReservations
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".tdma": ("FrameWindow", "TdmaBus", "Transmission"),
+    ".reservations": ("BusReservations",),
+})
 
 __all__ = ["BusReservations", "FrameWindow", "TdmaBus", "Transmission"]

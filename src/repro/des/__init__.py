@@ -19,10 +19,14 @@ jitter (:class:`~repro.ftcpg.scenarios.DesFaultPlan`).
   compiled once per design.
 """
 
-from repro.des.core import DesRun, DesSimulator
-from repro.des.events import DesEvent, DesEventKind, render_trace
-from repro.des.online import OnlineEngine
-from repro.des.queue import EventQueue
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("DesRun", "DesSimulator"),
+    ".events": ("DesEvent", "DesEventKind", "render_trace"),
+    ".online": ("OnlineEngine",),
+    ".queue": ("EventQueue",),
+})
 
 __all__ = [
     "DesEvent",

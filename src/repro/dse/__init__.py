@@ -28,30 +28,19 @@ See ``docs/dse.md`` for the full picture and
 top.
 """
 
-from repro.dse.archive import DesignPoint, ParetoArchive, dominates
-from repro.dse.explorer import (
-    CHUNK_RUNNER,
-    DEFAULT_EPSILONS,
-    OBJECTIVE_NAMES,
-    DseConfig,
-    DseReport,
-    apply_checkpoint_counts,
-    certify_frontier,
-    dse_jobs,
-    evaluate_candidate,
-    merge_dse_cells,
-    run_dse,
-    run_dse_chunk,
-)
-from repro.dse.space import (
-    DSE_STRATEGIES,
-    Candidate,
-    SpaceConfig,
-    TransparencySpec,
-    enumerate_candidates,
-    space_size,
-    transparency_specs,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".archive": (
+        "DEFAULT_EPSILONS", "DesignPoint", "ParetoArchive", "dominates"),
+    ".explorer": (
+        "CHUNK_RUNNER", "OBJECTIVE_NAMES", "DseConfig", "DseReport",
+        "apply_checkpoint_counts", "certify_frontier", "dse_jobs",
+        "evaluate_candidate", "merge_dse_cells", "run_dse", "run_dse_chunk"),
+    ".space": (
+        "DSE_STRATEGIES", "Candidate", "SpaceConfig", "TransparencySpec",
+        "enumerate_candidates", "space_size", "transparency_specs"),
+})
 
 __all__ = [
     "CHUNK_RUNNER",

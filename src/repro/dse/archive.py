@@ -44,6 +44,14 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
+#: Default epsilon-box edges per objective: (length time units,
+#: opacity fraction, memory bytes).
+DEFAULT_EPSILONS = (4.0, 0.04, 32.0)
+
+#: Default limit of frontier certification: frontier designs with more
+#: fault scenarios than this stay uncertified.
+DEFAULT_VERIFY_MAX_SCENARIOS = 20_000
+
 
 @dataclass(frozen=True)
 class DesignPoint:

@@ -44,7 +44,12 @@ from repro.campaigns.runner import (
     workload_label,
 )
 from repro.campaigns.sampling import chunk_slice
-from repro.dse.archive import DesignPoint, ParetoArchive
+from repro.dse.archive import (
+    DEFAULT_EPSILONS,
+    DEFAULT_VERIFY_MAX_SCENARIOS,
+    DesignPoint,
+    ParetoArchive,
+)
 from repro.dse.space import Candidate, SpaceConfig, enumerate_candidates
 from repro.engine import journal
 from repro.engine.grid import grid_jobs
@@ -71,10 +76,6 @@ from repro.verify import ScenarioSweep, VerificationStats
 
 #: Import-path runner reference resolved by engine workers.
 CHUNK_RUNNER = "repro.dse.explorer:run_dse_chunk"
-
-#: Default epsilon-box edges per objective: (length time units,
-#: opacity fraction, memory bytes).
-DEFAULT_EPSILONS = (4.0, 0.04, 32.0)
 
 #: Default tabu budget: small on purpose — every candidate is
 #: re-evaluated exactly, the search only seeds the designs.
@@ -109,7 +110,7 @@ class DseConfig:
     #: ``certified`` true/false in JSON/CSV — or ``None`` when its
     #: scenario count exceeds ``verify_max_scenarios``.
     verify_frontier: bool = False
-    verify_max_scenarios: int = 20_000
+    verify_max_scenarios: int = DEFAULT_VERIFY_MAX_SCENARIOS
 
     def __post_init__(self) -> None:
         if self.chunks < 1:

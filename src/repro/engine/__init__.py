@@ -28,24 +28,18 @@ The Fig. 7 / Fig. 8 harnesses of :mod:`repro.experiments` route
 through this engine (``repro batch`` on the command line).
 """
 
-from repro.engine.backends import (
-    BACKENDS,
-    ExecutorBackend,
-    ProcessBackend,
-    SerialBackend,
-    WorkdirBackend,
-    create_backend,
-)
-from repro.engine.grid import grid_jobs
-from repro.engine.jobs import BatchJob, resolve_runner, run_job
-from repro.engine.runner import (
-    BatchEngine,
-    BatchReport,
-    EngineConfig,
-    JobOutcome,
-    run_batch,
-)
-from repro.engine.workdir import Workdir, WorkerSummary, work
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": (
+        "BACKENDS", "ExecutorBackend", "ProcessBackend", "SerialBackend",
+        "WorkdirBackend", "create_backend"),
+    ".grid": ("grid_jobs",),
+    ".jobs": ("BatchJob", "resolve_runner", "run_job"),
+    ".runner": (
+        "BatchEngine", "BatchReport", "EngineConfig", "JobOutcome", "run_batch"),
+    ".workdir": ("Workdir", "WorkerSummary", "work"),
+})
 
 __all__ = [
     "BACKENDS",

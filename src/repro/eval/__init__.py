@@ -20,23 +20,17 @@ explorer (:mod:`repro.dse`) and the fault-injection campaigns
 (:mod:`repro.campaigns`) are all wired through this layer.
 """
 
-from repro.eval.core import (
-    DEFAULT_MAX_ENTRIES,
-    DEFAULT_MAX_SCHEDULES,
-    CacheStats,
-    DesignEvaluation,
-    Evaluator,
-    EvaluatorPool,
-    EvaluatorStats,
-)
-from repro.eval.diskcache import (
-    CACHE_DIR_ENV,
-    DiskCache,
-    DiskCacheStats,
-    cache_dir_default,
-)
-from repro.eval.problem import ScheduleProblem, problem_fingerprint
-from repro.schedule.estimation import EstimatorState, solution_fingerprint
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "DEFAULT_MAX_ENTRIES", "DEFAULT_MAX_SCHEDULES", "CacheStats",
+        "DesignEvaluation", "Evaluator", "EvaluatorPool", "EvaluatorStats"),
+    ".diskcache": (
+        "CACHE_DIR_ENV", "DiskCache", "DiskCacheStats", "cache_dir_default"),
+    ".problem": ("ScheduleProblem", "problem_fingerprint"),
+    "..schedule.estimation": ("EstimatorState", "solution_fingerprint"),
+})
 
 __all__ = [
     "CACHE_DIR_ENV",

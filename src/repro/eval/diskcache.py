@@ -55,8 +55,6 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro._version import __version__
-
 #: Environment variable naming the cache directory; read per
 #: :class:`~repro.eval.core.EvaluatorPool` construction, so worker
 #: processes inherit the choice through their environment.
@@ -96,6 +94,11 @@ class DiskCache:
     """One cache directory (see the module docstring)."""
 
     def __init__(self, root: str | Path) -> None:
+        # Imported here, not at module top: the version lookup scans
+        # the installed distributions, a cost only runs with a cache
+        # directory should pay.
+        from repro._version import __version__
+
         self.root = Path(root)
         self.namespace = self.root / f"v{CACHE_FORMAT}-{__version__}"
         self.stats = DiskCacheStats()

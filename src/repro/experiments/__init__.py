@@ -18,17 +18,14 @@ All four run through ``repro batch --experiment
 wrapped by the pytest-benchmark harnesses in ``benchmarks/``.
 """
 
-from repro.experiments.campaign import (
-    CampaignRow,
-    CampaignSweepConfig,
-    run_campaign_sweep,
-)
-from repro.experiments.fig7 import Fig7Config, Fig7Row, run_fig7
-from repro.experiments.fig8 import Fig8Config, Fig8Row, run_fig8
-from repro.experiments.pareto import (
-    ParetoSweepConfig,
-    run_pareto_sweep,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".campaign": ("CampaignRow", "CampaignSweepConfig", "run_campaign_sweep"),
+    ".fig7": ("Fig7Config", "Fig7Row", "run_fig7"),
+    ".fig8": ("Fig8Config", "Fig8Row", "run_fig8"),
+    ".pareto": ("ParetoSweepConfig", "run_pareto_sweep"),
+})
 
 __all__ = [
     "CampaignRow",

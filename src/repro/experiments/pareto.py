@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 
+from repro.dse.archive import DEFAULT_EPSILONS
 from repro.dse.explorer import (
-    DEFAULT_EPSILONS,
     DEFAULT_SETTINGS,
     OBJECTIVE_NAMES,
     DseConfig,

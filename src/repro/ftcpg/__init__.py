@@ -15,17 +15,16 @@ nodes implement the designer's transparency (frozen) requirements.
   scenarios (used by the exhaustive tolerance verifier).
 """
 
-from repro.ftcpg.conditions import AttemptId, ConditionLiteral, Guard
-from repro.ftcpg.graph import Ftcpg, FtcpgEdge, FtcpgNode, NodeKind
-from repro.ftcpg.builder import build_ftcpg
-from repro.ftcpg.scenarios import (
-    DesFaultPlan,
-    FaultPlan,
-    FaultWindow,
-    SlotFault,
-    count_fault_plans,
-    iter_fault_plans,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".conditions": ("AttemptId", "ConditionLiteral", "Guard"),
+    ".graph": ("Ftcpg", "FtcpgEdge", "FtcpgNode", "NodeKind"),
+    ".builder": ("build_ftcpg",),
+    ".scenarios": (
+        "DesFaultPlan", "FaultPlan", "FaultWindow", "SlotFault",
+        "count_fault_plans", "iter_fault_plans"),
+})
 
 __all__ = [
     "AttemptId",

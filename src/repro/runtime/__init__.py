@@ -10,19 +10,16 @@ guard decidability, deadlines); :mod:`repro.runtime.verify` drives it
 exhaustively over *all* fault scenarios within the budget ``k``.
 """
 
-from repro.runtime.simulator import SimulationResult, simulate
-from repro.runtime.faults import (
-    extend_fault_plans,
-    sample_des_axes,
-    sample_fault_plan,
-    sample_fault_plan_exact,
-    sample_fault_plans,
-)
-from repro.runtime.verify import (
-    VerificationReport,
-    verify_tolerance,
-    verify_tolerance_sampled,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".simulator": ("SimulationResult", "simulate"),
+    ".faults": (
+        "extend_fault_plans", "sample_des_axes", "sample_fault_plan",
+        "sample_fault_plan_exact", "sample_fault_plans"),
+    ".verify": (
+        "VerificationReport", "verify_tolerance", "verify_tolerance_sampled"),
+})
 
 __all__ = [
     "SimulationResult",

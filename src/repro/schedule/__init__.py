@@ -12,34 +12,27 @@ Two schedulers share the same models:
   conditional schedule tables of paper §5.2 (Fig. 6).
 """
 
-from repro.schedule.mapping import CopyMapping
-from repro.schedule.priorities import partial_critical_path_priorities
-from repro.schedule.estimation import (
-    EstimatorState,
-    FtEstimate,
-    estimate_ft_schedule,
-    solution_fingerprint,
-)
-from repro.schedule.conditional import ConditionalScheduler, synthesize_schedule
-from repro.schedule.table import EntryKind, ScheduleSet, TableEntry
-from repro.schedule.render import render_node_table, render_schedule_set
-from repro.schedule.analysis import fault_tolerance_overhead
-from repro.schedule.metrics import (
-    FtMemoryOverhead,
-    NodeTableSize,
-    ScheduleMetrics,
-    ft_memory_overhead,
-    process_state_bytes,
-    schedule_metrics,
-    transparency_degree,
-)
-from repro.schedule.serialization import (
-    dump_schedule,
-    load_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
-)
-from repro.schedule.validation import assert_valid_schedule, validate_schedule
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".mapping": ("CopyMapping",),
+    ".priorities": ("partial_critical_path_priorities",),
+    ".estimation": (
+        "EstimatorState", "FtEstimate", "estimate_ft_schedule",
+        "solution_fingerprint"),
+    ".conditional": ("ConditionalScheduler", "synthesize_schedule"),
+    ".table": ("EntryKind", "ScheduleSet", "TableEntry"),
+    ".render": ("render_node_table", "render_schedule_set"),
+    ".analysis": ("fault_tolerance_overhead",),
+    ".metrics": (
+        "FtMemoryOverhead", "NodeTableSize", "ScheduleMetrics",
+        "ft_memory_overhead", "process_state_bytes", "schedule_metrics",
+        "transparency_degree"),
+    ".serialization": (
+        "dump_schedule", "load_schedule", "schedule_from_dict",
+        "schedule_to_dict"),
+    ".validation": ("assert_valid_schedule", "validate_schedule"),
+})
 
 __all__ = [
     "ConditionalScheduler",

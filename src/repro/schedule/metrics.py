@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ftcpg.conditions import AttemptId
+from repro.ftcpg.conditions import AttemptId, Guard
 from repro.model.application import Application
 from repro.model.transparency import Transparency
 from repro.policies.types import PolicyAssignment
@@ -83,15 +83,24 @@ class ScheduleMetrics:
 
 def schedule_metrics(schedule: ScheduleSet) -> ScheduleMetrics:
     """Measure a schedule set (paper §5.2's table-size dimension)."""
+    # A column is a distinct guard. Entries of one context share their
+    # Guard object, and hashing a guard builds a frozenset of its
+    # literals, so each guard object is hashed once, into the number
+    # of its column; the tables then count column numbers.
+    column_of: dict[int, int] = {}
+    columns: dict[Guard, int] = {}
+    for e in schedule.entries:
+        if id(e.guard) not in column_of:
+            column_of[id(e.guard)] = columns.setdefault(e.guard,
+                                                        len(columns))
     per_node: list[NodeTableSize] = []
     for location in schedule.locations:
         entries = schedule.entries_on(location)
         rows = {e.row_key() for e in entries}
-        columns = {e.guard for e in entries}
         per_node.append(NodeTableSize(
             location=location,
             rows=len(rows),
-            columns=len(columns),
+            columns=len({column_of[id(e.guard)] for e in entries}),
             entries=len(entries),
         ))
     # Starts of one attempt within TIME_EPS are one start: cluster them
@@ -104,7 +113,7 @@ def schedule_metrics(schedule: ScheduleSet) -> ScheduleMetrics:
     return ScheduleMetrics(
         per_node=tuple(per_node),
         scenario_count=schedule.scenario_count,
-        distinct_guards=len({e.guard for e in schedule.entries}),
+        distinct_guards=len(columns),
         distinct_attempt_starts=sum(
             len(eps_representatives(starts))
             for starts in attempt_starts.values()),

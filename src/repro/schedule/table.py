@@ -11,6 +11,7 @@ activates entries whose guard matches the observed conditions.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -179,13 +180,24 @@ class ScheduleSet:
                     literal.attempt, 1 << len(bit_of))
             return found
 
+        # The entries of one context share their guard object across
+        # shape groups, so each guard's masks are built once, memoized
+        # by id() as safely as the literals above.
+        masks_of: dict[int, tuple[int, int]] = {}
+
+        def masks(guard: Guard) -> tuple[int, int]:
+            found = masks_of.get(id(guard))
+            if found is None:
+                found = masks_of[id(guard)] = _guard_masks(guard, bit)
+            return found
+
         merged_out: set[int] = set()
         additions: list[TableEntry] = []
         for indices in by_shape.values():
             if len(indices) < 2:
                 continue
             result = _merge_guards([entries[i].guard for i in indices],
-                                   bit)
+                                   bit, masks)
             if result is not None:
                 merged_out.update(indices)
                 additions.extend(replace(entries[indices[0]], guard=guard)
@@ -200,30 +212,39 @@ class ScheduleSet:
         )
 
 
+def _guard_masks(guard: Guard, bit: Callable[[ConditionLiteral], int],
+                 ) -> tuple[int, int]:
+    """A guard's ``(care, value)`` bitmasks over the numbering ``bit``:
+    the attempts it constrains and those it requires faulty."""
+    care = value = 0
+    for literal in guard.literals:
+        literal_bit = bit(literal)
+        care |= literal_bit
+        if literal.faulty:
+            value |= literal_bit
+    return care, value
+
+
 def _merge_guards(guards: list[Guard],
                   bit: Callable[[ConditionLiteral], int],
+                  masks: Callable[[Guard], tuple[int, int]] | None = None,
                   ) -> list[Guard] | None:
     """Merge complementary guard pairs until none is left.
 
     Guards are compared as bitmasks over the attempt numbering ``bit``:
     ``care`` (the attempts constrained) and ``value`` (those required
-    faulty). Two guards pair when their ``care`` is equal and their
-    ``value`` differs in one bit; their disjunction is the first guard
-    without that literal, in its literal order.
+    faulty), as :func:`_guard_masks` builds them unless ``masks``
+    supplies them. Two guards pair when their ``care`` is equal and
+    their ``value`` differs in one bit; their disjunction is the first
+    guard without that literal, in its literal order.
 
     Greedy: the first mergeable pair in scan order merges, its union
     goes to the end of the list and the scan restarts. Returns the
     reduced set, or ``None`` when nothing merges.
     """
-    remaining: list[tuple[int, int, Guard]] = []
-    for guard in guards:
-        care = value = 0
-        for literal in guard.literals:
-            literal_bit = bit(literal)
-            care |= literal_bit
-            if literal.faulty:
-                value |= literal_bit
-        remaining.append((care, value, guard))
+    if masks is None:
+        masks = functools.partial(_guard_masks, bit=bit)
+    remaining = [(*masks(guard), guard) for guard in guards]
     merged_any = False
     while (pair := _first_pair(remaining)) is not None:
         i, j, diff = pair

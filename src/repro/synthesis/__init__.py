@@ -17,20 +17,18 @@ checkpointing variants used by Fig. 8, and
 optimization of [15] against the per-process [27] baseline.
 """
 
-from repro.synthesis.initial import initial_mapping
-from repro.synthesis.moves import PolicyMove, RemapMove
-from repro.synthesis.tabu import TabuSearch, TabuSettings
-from repro.synthesis.strategies import (
-    STRATEGIES,
-    StrategyResult,
-    nft_baseline,
-    synthesize,
-)
-from repro.synthesis.checkpoint_opt import (
-    assign_local_optimal_checkpoints,
-    optimize_checkpoints_globally,
-)
-from repro.synthesis.bus_opt import BusOptResult, optimize_bus_access
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".initial": ("initial_mapping",),
+    ".moves": ("PolicyMove", "RemapMove"),
+    ".tabu": ("TabuSearch", "TabuSettings"),
+    ".strategies": (
+        "STRATEGIES", "StrategyResult", "nft_baseline", "synthesize"),
+    ".checkpoint_opt": (
+        "assign_local_optimal_checkpoints", "optimize_checkpoints_globally"),
+    ".bus_opt": ("BusOptResult", "optimize_bus_access"),
+})
 
 __all__ = [
     "STRATEGIES",

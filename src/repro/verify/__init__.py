@@ -10,22 +10,18 @@ faults under the chosen transparency contract.
 package.
 """
 
-from repro.verify.core import ScenarioSweep, chunk_bounds
-from repro.verify.runner import (
-    DEFAULT_MAX_SCENARIOS,
-    VerifyConfig,
-    VerifyReport,
-    load_verify_workload,
-    merge_verify_cells,
-    run_verification,
-    run_verify_chunk,
-    verify_jobs,
-)
-from repro.verify.stats import (
-    FaultCountBin,
-    FrozenStartStat,
-    VerificationStats,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("ScenarioSweep", "chunk_bounds"),
+    ".runner": (
+        "VerifyConfig", "VerifyReport", "load_verify_workload",
+        "merge_verify_cells", "run_verification", "run_verify_chunk",
+        "verify_jobs"),
+    ".stats": (
+        "DEFAULT_MAX_SCENARIOS", "FaultCountBin", "FrozenStartStat",
+        "VerificationStats"),
+})
 
 __all__ = [
     "DEFAULT_MAX_SCENARIOS",

@@ -66,16 +66,18 @@ class ScenarioSweep:
     Yields, for a contiguous range of the
     :func:`~repro.ftcpg.scenarios.iter_fault_plans` order, the exact
     :class:`SimulationResult` of every scenario. The batched kernel is
-    compiled on first use and shared by every later window.
+    compiled on first use and shared by every later window, unless the
+    caller hands in the design's compiled ``kernel``.
     """
 
     def __init__(self, app: Application, arch: Architecture,
                  mapping: CopyMapping, policies: PolicyAssignment,
-                 fault_model: FaultModel, schedule: ScheduleSet) -> None:
+                 fault_model: FaultModel, schedule: ScheduleSet, *,
+                 kernel: BatchedSimulator | None = None) -> None:
         self._design = (app, arch, mapping, policies, fault_model,
                         schedule)
         self._enum = plan_enumeration(app, policies, fault_model.k)
-        self._batched: BatchedSimulator | None = None
+        self._batched = kernel
 
     @property
     def total(self) -> int:

@@ -57,17 +57,11 @@ from repro.runtime.faults import sample_fault_plans
 from repro.synthesis.tabu import TabuSettings
 from repro.utils.rng import derive_seed
 from repro.verify.core import ScenarioSweep, chunk_bounds
-from repro.verify.stats import VerificationStats
+from repro.verify.stats import DEFAULT_MAX_SCENARIOS, VerificationStats
 from repro.workloads.presets import brake_by_wire, fig5_example
 
 #: Import-path runner reference resolved by engine workers.
 CHUNK_RUNNER = "repro.verify.runner:run_verify_chunk"
-
-#: Default ceiling on exhaustively simulated scenarios. Far above the
-#: legacy serial verifier's 100k — sharding and the batched kernel are
-#: what make Fig. 7/8-scale scenario sets tractable — but still a
-#: guard against accidentally exponential instances.
-DEFAULT_MAX_SCENARIOS = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,12 @@ from repro.runtime.simulator import SimulationResult
 from repro.schedule.table import EntryKind
 from repro.utils.mathutils import TIME_EPS, eps_representatives
 
+#: Default ceiling on exhaustively simulated scenarios. Far above the
+#: legacy serial verifier's 100k — sharding and the batched kernel are
+#: what make Fig. 7/8-scale scenario sets tractable — but still a
+#: guard against accidentally exponential instances.
+DEFAULT_MAX_SCENARIOS = 2_000_000
+
 #: Failure records kept per merged stats object (counts are exact,
 #: the *records* are a bounded sample: first-cap of the scenario
 #: order, which keeping first-cap of every concatenation preserves).

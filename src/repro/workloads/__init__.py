@@ -8,18 +8,15 @@
   in the style the authors use throughout this research line.
 """
 
-from repro.workloads.generator import GeneratorConfig, generate_workload
-from repro.workloads.presets import (
-    SIMPLE_PRESETS,
-    brake_by_wire,
-    bursty_heterogeneous,
-    cruise_controller,
-    deep_chain,
-    fig1_process,
-    fig3_example,
-    fig5_example,
-    wide_fork_join,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".generator": ("GeneratorConfig", "generate_workload"),
+    ".presets": (
+        "SIMPLE_PRESETS", "brake_by_wire", "bursty_heterogeneous",
+        "cruise_controller", "deep_chain", "fig1_process", "fig3_example",
+        "fig5_example", "wide_fork_join"),
+})
 
 __all__ = [
     "GeneratorConfig",

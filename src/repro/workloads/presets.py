@@ -406,3 +406,7 @@ SIMPLE_PRESETS = {
     "forkjoin": wide_fork_join,
     "bursty": bursty_heterogeneous,
 }
+
+#: Named workloads a campaign or a design-space exploration can target
+#: (all transparency-free).
+PRESET_WORKLOADS = tuple(SIMPLE_PRESETS)

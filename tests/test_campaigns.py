@@ -398,6 +398,24 @@ class TestCampaignRunner:
         assert derivations == {"synthesize_campaign_design": 3,
                                "synthesize_schedule": 3}
 
+    @pytest.mark.parametrize("certify", [False, True],
+                             ids=["plain", "certified"])
+    def test_one_kernel_compile_per_chunk(self, certify):
+        """A certifying chunk replays its sampled plans and sweeps its
+        certificate window through one compiled kernel (it compiled a
+        second one for the window before)."""
+        from repro.kernels import counters
+
+        config = CampaignConfig(
+            workload={"processes": 6, "nodes": 2, "seed": 1}, k=2,
+            sampler="stratified", samples=50, chunks=4, seed=1,
+            certify=certify)
+        before = counters.schedules_compiled
+        report = run_campaign(config,
+                              engine_config=EngineConfig(workers=1))
+        assert counters.schedules_compiled - before == config.chunks
+        assert report.verification is None or report.verification.ok
+
     def test_certifying_run_reruns_plain_journal(self, tmp_path):
         engine = EngineConfig(workers=1,
                               checkpoint_path=tmp_path / "c.jsonl")

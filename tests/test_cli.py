@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -476,3 +481,56 @@ class TestWorkdirCli:
         capsys.readouterr()
         assert os.environ[CACHE_DIR_ENV] == str(cache)
         assert any(cache.rglob("*.pkl"))
+
+
+#: Modules only running a command may import: the schedulers, the
+#: estimator, the kernels, the DES engine and the commands' drivers.
+HEAVY_MODULES = frozenset((
+    "repro.schedule.conditional", "repro.schedule.estimation",
+    "repro.eval.core", "repro.kernels.batch", "repro.des.online",
+    "repro.verify.core", "repro.dse.explorer", "repro.campaigns.runner",
+    "repro.synthesis.tabu", "repro.experiments.fig7"))
+
+
+def _repro_modules_after(code: str) -> set[str]:
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(src), env.get("PYTHONPATH"))))
+    script = code + textwrap.dedent("""
+        import sys
+        print(" ".join(name for name in sys.modules
+                       if name == "repro" or name.startswith("repro.")))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+class TestImportCost:
+    """A command imports only what it runs (package re-exports resolve
+    on first access, handlers import their layers)."""
+
+    def test_import_cli_loads_only_the_cli(self):
+        assert _repro_modules_after("import repro.cli") \
+            == {"repro", "repro._lazy", "repro.cli"}
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_parsing_imports_no_command_layer(self, flag):
+        loaded = _repro_modules_after(textwrap.dedent(f"""
+            import contextlib
+            import io
+
+            from repro.cli import main
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    main([{flag!r}])
+                except SystemExit:
+                    pass
+        """))
+        assert "repro.cli" in loaded
+        assert not loaded & HEAVY_MODULES, sorted(loaded & HEAVY_MODULES)
