@@ -470,17 +470,23 @@ def run_campaign_chunk(params: Mapping[str, object]) -> dict:
     }
     max_scenarios = params.get("certify_max_scenarios")
     if max_scenarios is not None:
-        # Imported lazily: repro.verify.runner imports this module
-        # for the shared design derivation.
-        from repro.verify.core import ScenarioSweep
-        from repro.verify.runner import sweep_window
-        sweep = ScenarioSweep(*design.executor_args, kernel=design.kernel)
-        error = scenario_limit_error(sweep.total, int(max_scenarios),
-                                     flag="--certify-max-scenarios")
-        payload["certificate"] = (
-            {"skipped": str(error)} if error is not None
-            else sweep_window(sweep, design.transparency,
-                              int(params["chunk"]), int(params["chunks"])))
+        # The limit is checked before design.kernel is touched, so a
+        # skipped certificate compiles nothing.
+        error = scenario_limit_error(
+            count_fault_plans(app, result.policies, design.fault_model.k),
+            int(max_scenarios), flag="--certify-max-scenarios")
+        if error is not None:
+            payload["certificate"] = {"skipped": str(error)}
+        else:
+            # Imported lazily: repro.verify.runner imports this module
+            # for the shared design derivation.
+            from repro.verify.core import ScenarioSweep
+            from repro.verify.runner import sweep_window
+            sweep = ScenarioSweep(*design.executor_args,
+                                  kernel=design.kernel)
+            payload["certificate"] = sweep_window(
+                sweep, design.transparency, int(params["chunk"]),
+                int(params["chunks"]))
     return payload
 
 

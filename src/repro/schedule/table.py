@@ -11,7 +11,6 @@ activates entries whose guard matches the observed conditions.
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -227,23 +226,21 @@ def _guard_masks(guard: Guard, bit: Callable[[ConditionLiteral], int],
 
 def _merge_guards(guards: list[Guard],
                   bit: Callable[[ConditionLiteral], int],
-                  masks: Callable[[Guard], tuple[int, int]] | None = None,
+                  masks: Callable[[Guard], tuple[int, int]],
                   ) -> list[Guard] | None:
     """Merge complementary guard pairs until none is left.
 
     Guards are compared as bitmasks over the attempt numbering ``bit``:
     ``care`` (the attempts constrained) and ``value`` (those required
-    faulty), as :func:`_guard_masks` builds them unless ``masks``
-    supplies them. Two guards pair when their ``care`` is equal and
-    their ``value`` differs in one bit; their disjunction is the first
-    guard without that literal, in its literal order.
+    faulty), as ``masks`` gives them (:func:`_guard_masks` over
+    ``bit``). Two guards pair when their ``care`` is equal and their
+    ``value`` differs in one bit; their disjunction is the first guard
+    without that literal, in its literal order.
 
     Greedy: the first mergeable pair in scan order merges, its union
     goes to the end of the list and the scan restarts. Returns the
     reduced set, or ``None`` when nothing merges.
     """
-    if masks is None:
-        masks = functools.partial(_guard_masks, bit=bit)
     remaining = [(*masks(guard), guard) for guard in guards]
     merged_any = False
     while (pair := _first_pair(remaining)) is not None:

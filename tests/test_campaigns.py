@@ -398,23 +398,34 @@ class TestCampaignRunner:
         assert derivations == {"synthesize_campaign_design": 3,
                                "synthesize_schedule": 3}
 
-    @pytest.mark.parametrize("certify", [False, True],
-                             ids=["plain", "certified"])
-    def test_one_kernel_compile_per_chunk(self, certify):
+    @pytest.mark.parametrize("extra, compiles_per_chunk", [
+        ({}, 1),
+        ({"certify": True}, 1),
+        # DES axes: the sampled plans run through the DES, and the
+        # certificate is skipped beyond the limit, so no chunk needs
+        # the kernel.
+        ({"certify": True, "certify_max_scenarios": 1,
+          "intermittent": 1, "slot_faults": 1}, 0),
+    ], ids=["plain", "certified", "des-skipped"])
+    def test_one_kernel_compile_per_chunk(self, extra, compiles_per_chunk):
         """A certifying chunk replays its sampled plans and sweeps its
         certificate window through one compiled kernel (it compiled a
-        second one for the window before)."""
+        second one for the window before); a chunk that replays and
+        sweeps nothing through the kernel compiles none."""
         from repro.kernels import counters
 
         config = CampaignConfig(
             workload={"processes": 6, "nodes": 2, "seed": 1}, k=2,
-            sampler="stratified", samples=50, chunks=4, seed=1,
-            certify=certify)
+            sampler="stratified", samples=50, chunks=4, seed=1, **extra)
         before = counters.schedules_compiled
         report = run_campaign(config,
                               engine_config=EngineConfig(workers=1))
-        assert counters.schedules_compiled - before == config.chunks
-        assert report.verification is None or report.verification.ok
+        assert (counters.schedules_compiled - before
+                == compiles_per_chunk * config.chunks)
+        if "certify_max_scenarios" in extra:
+            assert report.certify_skipped is not None
+        else:
+            assert report.verification is None or report.verification.ok
 
     def test_certifying_run_reruns_plain_journal(self, tmp_path):
         engine = EngineConfig(workers=1,

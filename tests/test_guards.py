@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ftcpg import AttemptId, ConditionLiteral, Guard
-from repro.schedule.table import _merge_guards
+from repro.schedule.table import _guard_masks, _merge_guards
 
 
 def att(process: str = "P1", copy: int = 0, segment: int = 1,
@@ -24,9 +24,15 @@ def numbering():
     return lambda literal: bits.setdefault(literal.attempt, 1 << len(bits))
 
 
+def merge_guards(guards: list[Guard]) -> list[Guard] | None:
+    """What compression merges the guards of one shape into."""
+    bit = numbering()
+    return _merge_guards(guards, bit, lambda guard: _guard_masks(guard, bit))
+
+
 def merge_pair(first: Guard, second: Guard) -> list[Guard] | None:
     """What compression merges two guards of one shape into."""
-    return _merge_guards([first, second], numbering())
+    return merge_guards([first, second])
 
 
 class TestAttemptId:

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.ftcpg import AttemptId, ConditionLiteral, Guard
-from repro.schedule.table import _merge_guards
-from tests.test_guards import merge_pair, numbering
+from tests.test_guards import merge_guards, merge_pair
 
 attempt_ids = st.builds(
     AttemptId,
@@ -88,7 +87,7 @@ class TestMergeGuardsProperties:
     def test_merging_keeps_what_the_guards_cover(self, guards):
         attempts = sorted({literal.attempt for guard in guards
                            for literal in guard.literals})
-        merged = _merge_guards(guards, numbering())
+        merged = merge_guards(guards)
         result = guards if merged is None else merged
         assert _covered(result, attempts) == _covered(guards, attempts)
         for first, second in itertools.combinations(result, 2):
