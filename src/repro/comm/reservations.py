@@ -35,6 +35,31 @@ class BusReservations:
             raise ValueError(f"bus slot {key} reserved twice")
         self._own.add(key)
 
+    def reserve_all(self, keys: list[tuple[int, int]]) -> None:
+        """Claim every slot occurrence of ``keys`` in one call.
+
+        Raises the :meth:`reserve` error if a key is already taken in
+        this context or listed twice, and then reserves none of them.
+        Trace replay re-reserves a whole prefix of recorded frames at
+        once this way.
+        """
+        batch = set(keys)
+        if len(batch) == len(keys):
+            table: BusReservations | None = self
+            while table is not None:
+                if not batch.isdisjoint(table._own):
+                    break
+                table = table._parent
+            else:
+                self._own |= batch
+                return
+        # Listed twice or taken: name the first offending key.
+        seen: set[tuple[int, int]] = set()
+        for key in keys:
+            if key in seen or self.is_reserved(key):
+                raise ValueError(f"bus slot {key} reserved twice")
+            seen.add(key)
+
     def acquire(self, key: tuple[int, int]) -> bool:
         """Claim a slot occurrence if free; one ancestry walk total.
 

@@ -10,6 +10,19 @@ A message of ``n`` frames sent by node ``N`` occupies ``n`` *distinct*
 slot occurrences owned by ``N`` (not necessarily consecutive rounds if
 some are already reserved); the data is available to all receivers at
 the end of the last frame's slot (broadcast bus).
+
+**Slot table.** Both slot searches, :meth:`TdmaBus.schedule_transmission`
+and :meth:`TdmaBus.owner_slot_occurrences`, read one per-node table
+that the bus derives once: each owner's ``(slot index, slot index *
+slot_length)`` pairs, plus the frame payload. A window starts at
+``r * round_length + offset``, the same two products and one sum as
+``r*R + s*L``, so the table changes no bit of any :class:`FrameWindow`.
+The table stays out of the pickled state: every DiskCache estimates
+entry pickles its estimator state's bus, so
+:meth:`TdmaBus.__getstate__` returns the four specification fields
+alone (entry bytes do not depend on the table) and
+:meth:`TdmaBus.__setstate__` rebuilds the table, also for entries
+written before it existed.
 """
 
 from __future__ import annotations
@@ -71,6 +84,27 @@ class TdmaBus:
         # recomputes the round length on every access.
         self._round_length = spec.round_length
         self._slot_length = spec.slot_length
+        self._derive_slot_table()
+
+    def _derive_slot_table(self) -> None:
+        """Derive what the slot searches read (never pickled)."""
+        slot_length = self._slot_length
+        self._owned: dict[str, tuple[tuple[int, float], ...]] = {
+            owner: tuple((s, s * slot_length) for s in slots)
+            for owner, slots in self._slots_of.items()}
+        self._payload = self._spec.slot_payload_bytes
+
+    def __getstate__(self) -> dict:
+        # The four specification fields in instance-dict order, no
+        # derived table: DiskCache entry bytes and keys must not
+        # depend on it, and entries written without it must load.
+        return {"_spec": self._spec, "_slots_of": self._slots_of,
+                "_round_length": self._round_length,
+                "_slot_length": self._slot_length}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._derive_slot_table()
 
     @property
     def spec(self) -> BusSpec:
@@ -108,14 +142,18 @@ class TdmaBus:
         latches the frame when the slot opens), so windows whose start
         is (within tolerance) >= ``earliest`` qualify.
         """
-        slots = self.slots_of(node)
+        try:
+            owned = self._owned[node]
+        except KeyError:
+            raise ValidationError(f"node {node!r} owns no bus slot") from None
         round_length = self._round_length
         slot_length = self._slot_length
         threshold = earliest - TIME_EPS
         round_index = max(0, int(earliest // round_length) - 1)
         for r in range(round_index, round_index + _MAX_SEARCH_ROUNDS):
-            for s in slots:
-                start = r * round_length + s * slot_length
+            base = r * round_length
+            for s, offset in owned:
+                start = base + offset
                 if start >= threshold:
                     yield FrameWindow(r, s, start, start + slot_length)
         raise SchedulingError(
@@ -130,10 +168,19 @@ class TdmaBus:
         """Reserve the earliest free slots for a message.
 
         ``reservations`` is consulted and updated; frames use the first
-        free slot occurrences of ``node`` at or after ``earliest``.
+        free slot occurrences of ``node`` at or after ``earliest``. A
+        message needs at least one frame: ``size_bytes`` below 1
+        raises :class:`ValueError`.
         """
-        remaining = self.frames_needed(size_bytes)
-        slots = self.slots_of(node)
+        try:
+            owned = self._owned[node]
+        except KeyError:
+            raise ValidationError(f"node {node!r} owns no bus slot") from None
+        if size_bytes <= 0:
+            raise ValueError(f"message size must be positive, got "
+                             f"{size_bytes}")
+        # Frame count inline (:meth:`frames_needed` is the same ceiling).
+        remaining = -(-size_bytes // self._payload)
         round_length = self._round_length
         slot_length = self._slot_length
         threshold = earliest - TIME_EPS
@@ -146,8 +193,8 @@ class TdmaBus:
         first = max(0, int(earliest // round_length) - 1)
         for r in range(first, first + _MAX_SEARCH_ROUNDS):
             base = r * round_length
-            for s in slots:
-                start = base + s * slot_length
+            for s, offset in owned:
+                start = base + offset
                 if start < threshold:
                     continue
                 if not acquire((r, s)):
@@ -156,7 +203,7 @@ class TdmaBus:
                                           start + slot_length))
                 remaining -= 1
                 if remaining == 0:
-                    return Transmission(sender=node, frames=tuple(frames))
+                    return Transmission(node, tuple(frames))
         raise SchedulingError(
             f"no free bus slot for {node!r} within "
             f"{_MAX_SEARCH_ROUNDS} rounds of t={earliest}"

@@ -50,6 +50,7 @@ from repro.schedule.conditional import (
 from repro.schedule.estimation import (
     EstimatorState,
     FtEstimate,
+    moved_fingerprint,
     solution_fingerprint,
 )
 from repro.schedule.metrics import (
@@ -209,6 +210,9 @@ class Evaluator:
         self._disk = disk
         self._disk_problem = (disk.problem_key(problem.fingerprint)
                               if disk is not None else None)
+        #: ``(parent state, its fingerprint)`` of the last
+        #: :meth:`estimate_move` call.
+        self._move_parent: tuple[EstimatorState, tuple] | None = None
 
     # The disk tier sits strictly *behind* the in-memory tiers: a
     # probe happens only after a memory miss was counted, and a hit
@@ -272,9 +276,21 @@ class Evaluator:
         hit or not, the returned state is bit-identical to a full
         evaluation of the new solution; on a miss the incremental path
         replays the parent's trace prefix.
+
+        The cache key is derived from the parent's: its fingerprint
+        with only ``changed``'s part rebuilt (:func:`~repro.schedule.
+        estimation.moved_fingerprint`), equal in value to the full
+        fingerprint of the new solution. Every caller evaluates many
+        neighbours of one parent in a row, so the parent's fingerprint
+        is kept for the last parent seen (matched by identity).
         """
+        memo = self._move_parent
+        if memo is None or memo[0] is not parent:
+            memo = self._move_parent = (
+                parent,
+                solution_fingerprint(parent.policies, parent.mapping))
         key = (parent.bus_contention, parent.slack_sharing,
-               solution_fingerprint(policies, mapping))
+               moved_fingerprint(memo[1], policies, mapping, changed))
         state = self._estimates.get(key)
         if state is None:
             state = self._disk_get("estimates", key)

@@ -45,7 +45,7 @@ from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.types import PolicyAssignment
 from repro.runtime.simulator import SimulationResult, simulate
-from repro.schedule.compiled import KIND_RANK, CompiledSchedule
+from repro.schedule.compiled import CompiledSchedule
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.table import EntryKind, ScheduleSet
 from repro.utils.mathutils import eps_cluster_ids, fgt, flt
@@ -128,7 +128,7 @@ class BatchedSimulator:
         self._aid = view.attempt
         self._loc_nid = view.node
         self._cidx = cids = view.copy
-        self._kind = [KIND_RANK[entry.kind] for entry in entries]
+        self._kind = view.rank
         self._start = [entry.start for entry in entries]
         self._end = [entry.end for entry in entries]
         n_entries = len(entries)

@@ -24,11 +24,20 @@ KIND_RANK = {EntryKind.BROADCAST: 0, EntryKind.MESSAGE: 1,
              EntryKind.ATTEMPT: 2}
 
 
+def _rank(kind: EntryKind) -> int:
+    """``KIND_RANK[kind]`` by identity tests: an ``EntryKind`` key
+    hashes through the Python-level ``Enum.__hash__``."""
+    if kind is EntryKind.ATTEMPT:
+        return 2
+    return 1 if kind is EntryKind.MESSAGE else 0
+
+
 class CompiledSchedule:
     """What executing one design's tables needs beyond the fault plan.
 
     ``entries`` is ``schedule.entries`` stably sorted by ``(start,
-    KIND_RANK)``. Per entry: ``guard`` as ``(attempt id, faulty)``
+    KIND_RANK)``. Per entry: its ``rank`` (``KIND_RANK`` of its
+    kind), ``guard`` as ``(attempt id, faulty)``
     pairs in literal order, its own ``attempt`` id (-1 for messages),
     the ``node`` id observing the guard (an attempt's location, the
     node of a message's producer copy or a broadcast's copy) and that
@@ -49,8 +58,11 @@ class CompiledSchedule:
         self.copy_segments = [plan.segments for plan in plans.values()]
         self.copy_recoveries = [plan.recoveries for plan in plans.values()]
 
-        entries = sorted(schedule.entries,
-                         key=lambda e: (e.start, KIND_RANK[e.kind]))
+        raw = schedule.entries
+        raw_rank = [_rank(entry.kind) for entry in raw]
+        order = sorted(range(len(raw)),
+                       key=lambda i: (raw[i].start, raw_rank[i]))
+        entries = [raw[i] for i in order]
         attempts: list[AttemptId] = []
         attempt_copy: list[int] = []
         aid_of: dict[AttemptId, int] = {}
@@ -107,6 +119,7 @@ class CompiledSchedule:
             else:
                 nodes.append(nid_of[entry.location])
         self.entries: list[TableEntry] = entries
+        self.rank = [raw_rank[i] for i in order]
         self.attempts, self.attempt_copy = attempts, attempt_copy
         self.guard, self.attempt, self.node, self.copy = (
             guards, own, nodes, copies)

@@ -81,9 +81,11 @@ zero, and an incremental one replays a parent prefix first.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Mapping
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.comm.reservations import BusReservations
@@ -93,7 +95,7 @@ from repro.model.application import Application
 from repro.model.architecture import Architecture
 from repro.model.fault_model import FaultModel
 from repro.policies.recovery import CopyExecution
-from repro.policies.types import PolicyAssignment
+from repro.policies.types import PolicyAssignment, ProcessPolicy
 from repro.schedule.mapping import CopyMapping
 from repro.schedule.priorities import partial_critical_path_priorities
 
@@ -106,6 +108,16 @@ SendRecord = tuple[str, int, Transmission]
 Fingerprint = tuple
 
 
+def _fingerprint_part(name: str, policy: ProcessPolicy,
+                      mapping: CopyMapping) -> tuple:
+    """One process's part of a fingerprint: ``(name, plans, nodes)``."""
+    copies = policy.copies
+    return (name,
+            tuple((plan.recoveries, plan.checkpoints) for plan in copies),
+            tuple(mapping.node_of(name, copy)
+                  for copy in range(len(copies))))
+
+
 def solution_fingerprint(policies: PolicyAssignment,
                          mapping: CopyMapping) -> Fingerprint:
     """Canonical, hashable identity of one (policies, mapping) solution.
@@ -115,14 +127,28 @@ def solution_fingerprint(policies: PolicyAssignment,
     recovery plan and placement — exactly the inputs the estimator
     reads from the solution.
     """
-    parts = []
-    for name, policy in sorted(policies.items()):
-        plans = tuple((plan.recoveries, plan.checkpoints)
-                      for plan in policy.copies)
-        nodes = tuple(mapping.node_of(name, copy)
-                      for copy in range(len(policy.copies)))
-        parts.append((name, plans, nodes))
-    return tuple(parts)
+    return tuple(_fingerprint_part(name, policy, mapping)
+                 for name, policy in sorted(policies.items()))
+
+
+def moved_fingerprint(parent: Fingerprint, policies: PolicyAssignment,
+                      mapping: CopyMapping, changed: str) -> Fingerprint:
+    """Fingerprint of a one-move neighbour of the solution ``parent``
+    fingerprints.
+
+    ``changed`` names the only process whose policy or placement
+    differs (the contract of :meth:`EstimatorState.reevaluate`), so
+    only its part is rebuilt; the result equals
+    :func:`solution_fingerprint` of the neighbour, and shares every
+    other part with ``parent``. Parts are sorted by name, so the part
+    is found by bisection.
+    """
+    index = bisect_left(parent, changed, key=itemgetter(0))
+    if index == len(parent) or parent[index][0] != changed:
+        raise SchedulingError(
+            f"unknown process {changed!r} in delta re-evaluation")
+    part = _fingerprint_part(changed, policies.of(changed), mapping)
+    return parent[:index] + (part,) + parent[index + 1:]
 
 
 class CopyTiming(NamedTuple):
@@ -195,6 +221,28 @@ class _CopyCost:
 #: value is a pure function of its key, so cross-run sharing cannot
 #: change any output; bounded defensively like the send memos.
 _COST_MEMO: dict[tuple, _CopyCost] = {}
+
+
+def _send_uncontended(memo: dict, bus: TdmaBus, node: str, ready: float,
+                      size_bytes: int) -> Transmission:
+    """An uncontended transmission, memoized across the run chain.
+
+    Without reservations a transmission is a pure function of
+    (sender, ready time, payload size): the slot search on an empty
+    reservation table. Incremental walks re-issue the same sends
+    constantly, so the search is shared via the chain's memo, keyed
+    ``(node, ready, size_bytes)``. Bounded defensively — one chain
+    sees a few thousand distinct sends in practice.
+    """
+    memo_key = (node, ready, size_bytes)
+    transmission = memo.get(memo_key)
+    if transmission is None:
+        transmission = bus.schedule_transmission(
+            node, ready, size_bytes, BusReservations())
+        if len(memo) >= 200_000:
+            memo.clear()
+        memo[memo_key] = transmission
+    return transmission
 
 
 class _MaxSlackPool:
@@ -585,22 +633,13 @@ class EstimatorState:
                              size_bytes: int) -> float:
         """Arrival of an uncontended send off a recorded finish.
 
-        Shares the run chain's send memo (same key layout as
-        :meth:`_EstimationRun._uncontended_cached`), so the value —
-        and the cached transmission a replay will reuse — is
-        bit-identical to the one a full run computes.
+        Goes through the run chain's send memo (:func:`_send_uncontended`),
+        so the value — and the cached transmission a replay will
+        reuse — is bit-identical to the one a full run computes.
         """
-        node = self.mapping.node_of(*src_key)
-        ready = self.estimate.timings[src_key].wc_finish
-        memo_key = (node, ready, size_bytes)
-        transmission = self._send_memo.get(memo_key)
-        if transmission is None:
-            transmission = _uncontended(self._bus, node, ready,
-                                        size_bytes)
-            if len(self._send_memo) >= 200_000:
-                self._send_memo.clear()
-            self._send_memo[memo_key] = transmission
-        return transmission.arrival
+        return _send_uncontended(
+            self._send_memo, self._bus, self.mapping.node_of(*src_key),
+            self.estimate.timings[src_key].wc_finish, size_bytes).arrival
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EstimatorState({len(self._pops)} copies, "
@@ -888,10 +927,15 @@ class _EstimationRun:
         completion = self.completion
         arrival = self.arrival
         sends = self.sends
-        reservations = self.reservations
         blockers = self.blockers
         successors_of = self.structure.successors
         parent_sends = parent._sends
+        # ``(round, slot)`` of every adopted frame, re-reserved in one
+        # call below (only ever filled under contention, where
+        # ``resend`` is empty, so no search runs in between).
+        reserved: list[tuple[int, int]] = []
+        reserve = reserved.append
+        reservations = self.reservations
         for name, position in parent._completion.items():
             if position >= divergence:
                 continue
@@ -902,14 +946,15 @@ class _EstimationRun:
                 records = parent_sends[name]
                 sends[name] = records
                 for message_name, copy_index, transmission in records:
-                    arrival[(message_name, copy_index)] = \
-                        transmission.arrival
+                    frames = transmission.frames
+                    arrival[(message_name, copy_index)] = frames[-1].end
                     if reservations is not None:
-                        for frame in transmission.frames:
-                            reservations.reserve(
-                                (frame.round_index, frame.slot_index))
+                        for frame in frames:
+                            reserve(frame[:2])
             for successor in successors_of[name]:
                 blockers[successor] -= 1
+        if reservations is not None:
+            reservations.reserve_all(reserved)
         # Rebuild the ready pool: every copy of a released process
         # that was not popped in the prefix. Earliest-start selection
         # can pop a process's copies out of index order, so the
@@ -1017,17 +1062,17 @@ class _EstimationRun:
         node_map = self.node_map
         timings = self.timings
         arrival = self.arrival
-        keys = self.keys_of[process_name]
-        policies_of = self.policies.of
+        keys_of = self.keys_of
+        keys = keys_of[process_name]
         reservations = self.reservations
+        bus = self.bus
         send_memo = self.send_memo
-        uncontended = self._uncontended_cached
         for message in outputs:
-            consumer_nodes = {
-                node_map[(message.dst, c)]
-                for c in range(len(policies_of(message.dst).copies))
-            }
+            consumer_nodes = {node_map[key]
+                              for key in keys_of[message.dst]}
             local_only = len(consumer_nodes) == 1
+            name = message.name
+            size_bytes = message.size_bytes
             for src_key in keys:
                 src_node = node_map[src_key]
                 # Skip iff every consumer copy shares the sender's
@@ -1036,44 +1081,20 @@ class _EstimationRun:
                     continue
                 send_time = timings[src_key].wc_finish
                 if reservations is not None:
-                    transmission = \
-                        self.bus.schedule_transmission(
-                            src_node, send_time,
-                            message.size_bytes,
-                            reservations)
+                    transmission = bus.schedule_transmission(
+                        src_node, send_time, size_bytes, reservations)
                 else:
-                    # Memo hit inline; the method handles the miss.
+                    # Memo hit inline; the helper handles the miss.
                     transmission = send_memo.get(
-                        (src_node, send_time, message.size_bytes))
+                        (src_node, send_time, size_bytes))
                     if transmission is None:
-                        transmission = uncontended(
-                            src_node, send_time,
-                            message.size_bytes)
-                arrival[(message.name, src_key[1])] = \
-                    transmission.arrival
-                records.append(
-                    (message.name, src_key[1], transmission))
+                        transmission = _send_uncontended(
+                            send_memo, bus, src_node, send_time,
+                            size_bytes)
+                # ``Transmission.arrival`` without the property call.
+                arrival[(name, src_key[1])] = transmission.frames[-1].end
+                records.append((name, src_key[1], transmission))
         self.sends[process_name] = tuple(records)
-
-    def _uncontended_cached(self, node: str, ready: float,
-                            size_bytes: int) -> Transmission:
-        """Uncontended transmissions memoized across the run chain.
-
-        Without reservations a transmission is a pure function of
-        (sender, ready time, payload size); incremental walks re-issue
-        the same sends constantly, so the slot search is shared via
-        the chain's memo. Bounded defensively — one chain sees a few
-        thousand distinct sends in practice.
-        """
-        memo_key = (node, ready, size_bytes)
-        transmission = self.send_memo.get(memo_key)
-        if transmission is None:
-            transmission = _uncontended(self.bus, node, ready,
-                                        size_bytes)
-            if len(self.send_memo) >= 200_000:
-                self.send_memo.clear()
-            self.send_memo[memo_key] = transmission
-        return transmission
 
     def _finish(self) -> EstimatorState:
         violations = []
@@ -1174,13 +1195,3 @@ def estimate_ft_schedule(
         app, arch, mapping, policies, fault_model,
         priorities=priorities, bus_contention=bus_contention,
         slack_sharing=slack_sharing).estimate
-
-
-def _uncontended(bus: TdmaBus, node: str, ready: float, size_bytes: int):
-    frames = []
-    needed = bus.frames_needed(size_bytes)
-    for window in bus.owner_slot_occurrences(node, ready):
-        frames.append(window)
-        if len(frames) == needed:
-            break
-    return Transmission(sender=node, frames=tuple(frames))

@@ -56,6 +56,11 @@ class TestCompiledSchedule:
         assert len(view.entries) == len(schedule.entries)
         assert all(a is b for a, b in zip(view.entries, expected))
 
+    def test_ranks_are_the_kind_ranks(self, design):
+        view = CompiledSchedule(*design)
+        assert view.rank == [KIND_RANK[entry.kind]
+                             for entry in view.entries]
+
     def test_attempt_ids_are_dense_in_first_mention_order(self, design):
         view = CompiledSchedule(*design)
         # Within an entry, the guard's literals come before its own

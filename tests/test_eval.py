@@ -12,10 +12,14 @@ the incremental path and again with the ``full_recompute`` fixture
 
 from __future__ import annotations
 
+import sys
 from contextlib import nullcontext
+
+import pytest
 
 from repro.dse import DseConfig, SpaceConfig, run_dse
 from repro.engine import EngineConfig
+from repro.errors import SchedulingError
 from repro.eval import (
     DesignEvaluation,
     Evaluator,
@@ -23,9 +27,14 @@ from repro.eval import (
     ScheduleProblem,
     problem_fingerprint,
 )
+from repro.eval.core import _LruTier
 from repro.model import FaultModel, Transparency
 from repro.policies import PolicyAssignment, ProcessPolicy
 from repro.schedule import estimate_ft_schedule, synthesize_schedule
+from repro.schedule.estimation import (
+    moved_fingerprint,
+    solution_fingerprint,
+)
 from repro.synthesis import (
     TabuSearch,
     TabuSettings,
@@ -299,6 +308,138 @@ class TestPolicyRefinementParity:
         assert a[2].schedule_length == b[2].schedule_length
         assert dict(a[0].items()) == dict(b[0].items())
         assert a[3] == b[3]
+
+
+@pytest.fixture
+def move_lookups(monkeypatch):
+    """Records every ``Evaluator.estimate_move`` call as ``[expected
+    key, keys looked up, keys stored, caller]``: the expected key is
+    the full fingerprint of the new solution, the looked-up and stored
+    keys are what the estimates tier saw during the call."""
+    calls: list[list] = []
+    active: list[list] = []
+    move = Evaluator.estimate_move
+    get, put = _LruTier.get, _LruTier.put
+
+    def spy_move(self, parent, policies, mapping, changed):
+        record = [(parent.bus_contention, parent.slack_sharing,
+                   solution_fingerprint(policies, mapping)), [], [],
+                  sys._getframe(1).f_code.co_name]
+        calls.append(record)
+        active.append(record)
+        try:
+            return move(self, parent, policies, mapping, changed)
+        finally:
+            active.pop()
+
+    def spy_get(self, key):
+        if active:
+            active[-1][1].append(key)
+        return get(self, key)
+
+    def spy_put(self, key, value):
+        if active:
+            active[-1][2].append(key)
+        return put(self, key, value)
+
+    monkeypatch.setattr(Evaluator, "estimate_move", spy_move)
+    monkeypatch.setattr(_LruTier, "get", spy_get)
+    monkeypatch.setattr(_LruTier, "put", spy_put)
+    return calls
+
+
+def assert_keys_are_full_fingerprints(calls):
+    for expected, looked_up, stored, _caller in calls:
+        assert looked_up == [expected]
+        assert repr(looked_up[0]) == repr(expected)  # the DiskCache path
+        assert stored in ([], [expected])
+
+
+class TestDerivedEstimateKeys:
+    """``estimate_move`` derives a neighbour's key from its parent's
+    (one process's part rebuilt); the key must equal the full
+    fingerprint of the neighbour in every caller."""
+
+    @pytest.mark.parametrize("strategy, callers", [
+        ("MXR", {"_evaluate_move", "_policy_refinement"}),
+        ("MC_GLOBAL", {"_evaluate_move",
+                       "optimize_checkpoints_globally"}),
+    ])
+    @pytest.mark.parametrize("bus_contention", [False, True])
+    @pytest.mark.parametrize("workload", [(8, 3, 3), (6, 2, 11)])
+    def test_synthesize_looks_up_full_fingerprints(
+            self, move_lookups, strategy, callers, bus_contention,
+            workload):
+        processes, nodes, seed = workload
+        app, arch = generate_workload(GeneratorConfig(
+            processes=processes, nodes=nodes, seed=seed))
+        settings = TabuSettings(iterations=4, neighborhood=6, seed=5,
+                                bus_contention=bus_contention)
+        synthesize(app, arch, FaultModel(k=2), strategy,
+                   settings=settings)
+        assert {call[3] for call in move_lookups} == callers
+        assert_keys_are_full_fingerprints(move_lookups)
+
+    def test_alternating_parents(self, move_lookups):
+        app, arch = small_workload()
+        fm = FaultModel(k=2)
+        policies, mapping = solution_for(app, arch)
+        evaluator = Evaluator(ScheduleProblem.for_workload(app, arch, fm))
+        a_solution = (policies, mapping)
+        a = evaluator.estimate_state(policies, mapping)
+        first, *others = app.process_names
+
+        def remaps(solution, names):
+            for name in names:
+                for node in app.process(name).allowed_nodes:
+                    move = RemapMove(name, 0, node)
+                    if move.applies_to(solution):
+                        yield name, move.apply(solution, app)
+
+        # B differs from A at ``first``; the neighbours of both move
+        # other processes, so a key built from the wrong parent's
+        # fingerprint would differ at ``first``.
+        name, b_solution = next(remaps(a_solution, [first]))
+        b = evaluator.estimate_move(a, *b_solution, name)
+        for parent, solution in ((a, a_solution), (b, b_solution),
+                                 (a, a_solution)):
+            for name, (new_p, new_m) in remaps(solution, others):
+                state = evaluator.estimate_move(parent, new_p, new_m,
+                                                name)
+                fresh = estimate_ft_schedule(app, arch, new_m, new_p, fm)
+                assert state.estimate.schedule_length == \
+                    fresh.schedule_length
+                assert state.estimate.timings == fresh.timings
+        assert len(move_lookups) > 3
+        assert_keys_are_full_fingerprints(move_lookups)
+
+    @pytest.mark.parametrize("changed", ["", "P", "P1x", "~"])
+    def test_unknown_changed_process_raises(self, changed):
+        app, arch = small_workload()
+        policies, mapping = solution_for(app, arch)
+        evaluator = Evaluator(ScheduleProblem.for_workload(
+            app, arch, FaultModel(k=2)))
+        parent = evaluator.estimate_state(policies, mapping)
+        name = app.process_names[-1]
+        node = next(n for n in app.process(name).allowed_nodes
+                    if n != mapping.node_of(name, 0))
+        new_p, new_m = RemapMove(name, 0, node).apply((policies, mapping),
+                                                      app)
+        with pytest.raises(SchedulingError, match="unknown process"):
+            evaluator.estimate_move(parent, new_p, new_m, changed)
+
+    def test_moved_fingerprint_shares_unchanged_parts(self):
+        app, arch = small_workload()
+        policies, mapping = solution_for(app, arch)
+        parent = solution_fingerprint(policies, mapping)
+        for name in app.process_names:
+            new_p, new_m = PolicyMove(
+                name, ProcessPolicy.replication(2)).apply(
+                (policies, mapping), app)
+            moved = moved_fingerprint(parent, new_p, new_m, name)
+            assert moved == solution_fingerprint(new_p, new_m)
+            assert sum(a is b for a, b in zip(moved, parent)) == \
+                len(parent) - 1
 
 
 class TestMoveDedupKeys:
